@@ -2,8 +2,9 @@
 //! controller loops that stand in for kube-controller-manager + kubelet.
 //!
 //! Time is virtual: [`Cluster::advance`] moves the clock and reconciles.
-//! Nothing sleeps for real, so a `kubectl wait --timeout=60s` in a unit
-//! test costs microseconds of wall time.
+//! Nothing sleeps for real, and the clock jumps from event to event rather
+//! than stepping through idle time, so a `kubectl wait --timeout=60s` in a
+//! unit test costs microseconds of wall time.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -125,6 +126,23 @@ pub struct Cluster {
     /// the same text skips the YAML parse entirely — the candidate is
     /// parsed once per evaluation, not once per layer.
     primed: HashMap<u64, std::sync::Arc<Vec<Yaml>>>,
+    /// The last reconcile pass changed no structure and nothing was
+    /// deleted or created since. While false, the next grid instant of
+    /// [`Cluster::advance`] must reconcile.
+    settled: bool,
+    /// Reconcile passes run so far.
+    reconcile_passes: u64,
+}
+
+/// Spacing of the controller reconcile grid, counted from the start of each
+/// [`Cluster::advance`] call.
+const RECONCILE_TICK_MS: u64 = 250;
+
+/// The first instant of the grid `origin + k * step` at or after `t`
+/// (saturating at `u64::MAX`).
+pub(crate) fn grid_at_or_after(origin: u64, step: u64, t: u64) -> u64 {
+    let steps = t.saturating_sub(origin).div_ceil(step);
+    origin.saturating_add(steps.saturating_mul(step))
 }
 
 impl Default for Cluster {
@@ -155,6 +173,8 @@ impl Cluster {
             pull_bandwidth_mbps: 400.0,
             pulls: Vec::new(),
             primed: HashMap::new(),
+            settled: true,
+            reconcile_passes: 0,
         }
     }
 
@@ -178,14 +198,71 @@ impl Cluster {
         self.namespaces.iter().map(String::as_str)
     }
 
-    /// Advances the simulated clock, reconciling controllers as time passes.
+    /// Reconcile passes run so far: one per [`Cluster::apply_object`] and
+    /// one per event [`Cluster::advance`] visits.
+    pub fn reconcile_passes(&self) -> u64 {
+        self.reconcile_passes
+    }
+
+    /// Advances the simulated clock by `ms` (saturating at `u64::MAX`),
+    /// reconciling controllers as time passes.
+    ///
+    /// Controllers run on a 250 ms grid counted from this call's start,
+    /// but only at the grid instants where something can change:
+    ///
+    /// * after a pass that changed structure — the resource count, the
+    ///   pod-runtime count, the name, IP or node-port counters, or the
+    ///   namespaces moved — or after a delete or namespace creation, the
+    ///   next grid instant reconciles;
+    /// * otherwise the clock jumps straight to the first grid instant at
+    ///   or after the earliest pending timer: a pod's image-pull-done,
+    ///   ready or terminate time, a LoadBalancer Service's external IP
+    ///   (+2 s), an Ingress's address (+1 s) or a CronJob's next minute
+    ///   boundary;
+    /// * the target instant always reconciles, so every condition's
+    ///   `lastTransitionTime` reads the target time.
+    ///
+    /// A pass at a skipped grid instant would have changed nothing but
+    /// `lastTransitionTime` stamps, which the target pass rewrites, so the
+    /// result is the cluster a pass at every grid instant would leave.
     pub fn advance(&mut self, ms: u64) {
-        let target = self.now_ms + ms;
+        let start = self.now_ms;
+        let target = start.saturating_add(ms);
         while self.now_ms < target {
-            let step = (target - self.now_ms).min(250);
-            self.now_ms += step;
+            let wake = self.next_event_ms().unwrap_or(target);
+            self.now_ms = grid_at_or_after(start, RECONCILE_TICK_MS, wake).min(target);
             self.reconcile();
         }
+    }
+
+    /// The earliest instant after now at which reconciling can change the
+    /// cluster: just after now while a structural change is settling,
+    /// else the earliest pending timer (see [`Cluster::advance`]). `None`
+    /// when the cluster will never change on its own.
+    pub(crate) fn next_event_ms(&self) -> Option<u64> {
+        let now = self.now_ms;
+        if !self.settled {
+            return Some(now.saturating_add(1));
+        }
+        // An unpullable pod stays Pending whatever the time.
+        let pods = self
+            .pod_runtime
+            .values()
+            .filter(|rt| !rt.unpullable)
+            .flat_map(|rt| [Some(rt.pull_done_ms), Some(rt.ready_ms), rt.terminates_ms])
+            .flatten();
+        let objects = self.resources.values().filter_map(|r| {
+            let created = r.created_at_ms;
+            match r.kind.as_str() {
+                "Service" if service_type(r) == "LoadBalancer" => {
+                    Some(created.saturating_add(LOAD_BALANCER_DELAY_MS))
+                }
+                "Ingress" => Some(created.saturating_add(INGRESS_DELAY_MS)),
+                "CronJob" => Some(cronjob_due_ms(created)),
+                _ => None,
+            }
+        });
+        pods.chain(objects).filter(|&t| t > now).min()
     }
 
     /// Creates a namespace.
@@ -199,6 +276,7 @@ impl Cluster {
                 "namespaces \"{name}\""
             )));
         }
+        self.settled = false;
         Ok(())
     }
 
@@ -388,6 +466,7 @@ impl Cluster {
             self.resources.retain(|k, _| k.namespace != name);
         }
         self.cascade_delete(&key);
+        self.settled = false;
         Ok(format!("{} \"{name}\" deleted", kind.to_lowercase()))
     }
 
@@ -628,7 +707,21 @@ impl Cluster {
     // Controllers
     // -----------------------------------------------------------------
 
+    /// Structural counters: a pass that leaves these unchanged created and
+    /// removed nothing, so the next pass can only differ at a timer.
+    fn structure(&self) -> [u64; 6] {
+        [
+            self.resources.len() as u64,
+            self.pod_runtime.len() as u64,
+            self.name_counter,
+            u64::from(self.ip_counter),
+            u64::from(self.node_port_counter),
+            self.namespaces.len() as u64,
+        ]
+    }
+
     fn reconcile(&mut self) {
+        let before = self.structure();
         self.reconcile_deployments();
         self.reconcile_replicasets();
         self.reconcile_daemonsets();
@@ -641,6 +734,8 @@ impl Cluster {
         self.reconcile_ingresses();
         self.reconcile_hpas();
         self.reconcile_istio();
+        self.reconcile_passes += 1;
+        self.settled = self.structure() == before;
     }
 
     fn fresh_suffix(&mut self) -> String {
@@ -864,10 +959,7 @@ impl Cluster {
             .cloned()
             .collect();
         for cj in crons {
-            // Simplified schedule model: one Job per simulated minute.
-            let due = (self.now_ms / 60_000) > (cj.created_at_ms / 60_000)
-                || self.now_ms.saturating_sub(cj.created_at_ms) >= 60_000;
-            if !due {
+            if self.now_ms < cronjob_due_ms(cj.created_at_ms) {
                 continue;
             }
             let spawned = self.resources.values().any(|r| {
@@ -982,18 +1074,18 @@ impl Cluster {
                     .and_then(Yaml::as_i64)
                     .unwrap_or(0)
                     .max(0) as u64;
-                ready_delay = ready_delay.max(delay * 1000 + 200);
+                ready_delay = ready_delay.max(delay.saturating_mul(1000).saturating_add(200));
             }
         }
         let created = self.now_ms;
-        let pull_done = created + pull_ms.max(300);
+        let pull_done = created.saturating_add(pull_ms.max(300));
         self.pod_runtime.insert(
             pod.key(),
             PodRuntime {
                 created_ms: created,
                 pull_done_ms: pull_done,
-                ready_ms: pull_done + ready_delay,
-                terminates_ms: terminates.map(|d| pull_done + d),
+                ready_ms: pull_done.saturating_add(ready_delay),
+                terminates_ms: terminates.map(|d| pull_done.saturating_add(d)),
                 fails,
                 unpullable,
             },
@@ -1200,11 +1292,7 @@ impl Cluster {
             let now = self.now_ms;
             let created = svc.created_at_ms;
             let key = svc.key();
-            let svc_type = svc
-                .body
-                .get_path(&["spec", "type"])
-                .map(|t| t.render_scalar())
-                .unwrap_or_else(|| "ClusterIP".to_owned());
+            let svc_type = service_type(&svc);
             // Assign stable virtual IPs/ports once.
             let needs_cluster_ip = {
                 let r = self.resources.get(&key).expect("svc key");
@@ -1235,7 +1323,7 @@ impl Cluster {
             );
             // LoadBalancer external IP arrives after a short provisioning
             // delay, like minikube tunnel / cloud LBs.
-            if svc_type == "LoadBalancer" && now.saturating_sub(created) >= 2_000 {
+            if svc_type == "LoadBalancer" && now.saturating_sub(created) >= LOAD_BALANCER_DELAY_MS {
                 r.status.insert(
                     "loadBalancer",
                     yamlkit::ymap! {
@@ -1259,7 +1347,7 @@ impl Cluster {
             if r.status.is_null() {
                 r.status = Yaml::Map(vec![]);
             }
-            if now.saturating_sub(r.created_at_ms) >= 1_000 {
+            if now.saturating_sub(r.created_at_ms) >= INGRESS_DELAY_MS {
                 r.status.insert(
                     "loadBalancer",
                     yamlkit::ymap! {
@@ -1333,6 +1421,26 @@ impl Cluster {
             r.set_condition("Reconciled", true, now);
         }
     }
+}
+
+/// Provisioning delay before a LoadBalancer Service gets its external IP.
+const LOAD_BALANCER_DELAY_MS: u64 = 2_000;
+
+/// Delay before an Ingress gets its address and `SYNCED` condition.
+const INGRESS_DELAY_MS: u64 = 1_000;
+
+/// When a CronJob created at `created_ms` spawns its Job. Simplified
+/// schedule model: the first simulated minute boundary after creation.
+fn cronjob_due_ms(created_ms: u64) -> u64 {
+    (created_ms / 60_000 + 1).saturating_mul(60_000)
+}
+
+/// `spec.type` of a Service, defaulting to `ClusterIP`.
+fn service_type(svc: &Resource) -> String {
+    svc.body
+        .get_path(&["spec", "type"])
+        .map(Yaml::render_scalar)
+        .unwrap_or_else(|| "ClusterIP".to_owned())
 }
 
 /// `metadata.ownerReferences` entry.
@@ -1434,7 +1542,8 @@ fn command_duration(container: &Yaml) -> Option<CommandRun> {
             .and_then(|s| s.parse::<f64>().ok())
             .unwrap_or(1.0);
         return Some(CommandRun {
-            duration_ms: (secs * 1000.0) as u64 + 200,
+            // `as` saturates, so `sleep 1e300` runs (practically) forever.
+            duration_ms: ((secs * 1000.0) as u64).saturating_add(200),
             fails: false,
         });
     }
@@ -1736,6 +1845,51 @@ spec:
         );
         // Re-applying the existing pod is an update, not a new creation.
         c.apply_manifest(&pod("one"), "default").unwrap();
+    }
+
+    #[test]
+    fn endless_sleep_command_keeps_running() {
+        let mut c = Cluster::new();
+        c.apply_manifest(
+            "apiVersion: v1\nkind: Pod\nmetadata:\n  name: nap\nspec:\n  containers:\n  - name: c\n    image: busybox\n    command: [\"sleep\", \"1e300\"]\n",
+            "default",
+        )
+        .unwrap();
+        c.advance(120_000);
+        let pod = c.get("Pod", Some("default"), Some("nap")).pop().unwrap();
+        assert_eq!(
+            pod.status.get("phase").and_then(Yaml::as_str),
+            Some("Running")
+        );
+        // The clock saturates instead of wrapping.
+        c.advance(u64::MAX);
+        assert_eq!(c.now_ms(), u64::MAX);
+    }
+
+    #[test]
+    fn huge_readiness_delay_never_becomes_ready() {
+        let mut c = Cluster::new();
+        c.apply_manifest(
+            "apiVersion: v1\nkind: Pod\nmetadata:\n  name: slow\nspec:\n  containers:\n  - name: c\n    image: nginx\n    readinessProbe:\n      initialDelaySeconds: 9223372036854775807\n",
+            "default",
+        )
+        .unwrap();
+        for ms in [120_000, 365 * 24 * 3_600_000] {
+            c.advance(ms);
+            let pod = c.get("Pod", Some("default"), Some("slow")).pop().unwrap();
+            assert_eq!(pod.condition("Ready"), Some(false));
+        }
+    }
+
+    #[test]
+    fn idle_advance_reconciles_only_at_events() {
+        let mut c = Cluster::new();
+        c.apply_manifest(NGINX_DEPLOY, "default").unwrap();
+        c.advance(15_000);
+        // Settled, no pending timers: one pass, at the target.
+        let passes = c.reconcile_passes();
+        c.advance(3_600_000);
+        assert_eq!(c.reconcile_passes(), passes + 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use yamlkit::path::render_template;
 use yamlkit::Yaml;
 
-use crate::cluster::{Cluster, ClusterError};
+use crate::cluster::{grid_at_or_after, Cluster, ClusterError};
 use crate::resources::{canonical_kind, is_cluster_scoped, Resource};
 use crate::selector::Selector;
 
@@ -677,7 +677,8 @@ fn wait_cmd(cluster: &mut Cluster, flags: &Flags, ns: &str) -> KubectlResult {
         return KubectlResult::err("error: --for is required", 1);
     };
     let timeout = flags.timeout_ms.unwrap_or(30_000);
-    let deadline = cluster.now_ms() + timeout;
+    let start = cluster.now_ms();
+    let deadline = start.saturating_add(timeout);
     let for_delete = wait_for == "delete";
     let condition = wait_for
         .strip_prefix("condition=")
@@ -694,7 +695,7 @@ fn wait_cmd(cluster: &mut Cluster, flags: &Flags, ns: &str) -> KubectlResult {
                 if cluster.now_ms() >= deadline {
                     return e;
                 }
-                cluster.advance(500);
+                advance_to_next_poll(cluster, start, deadline);
                 continue;
             }
         };
@@ -725,8 +726,26 @@ fn wait_cmd(cluster: &mut Cluster, flags: &Flags, ns: &str) -> KubectlResult {
                 1,
             );
         }
-        cluster.advance(500);
+        advance_to_next_poll(cluster, start, deadline);
     }
+}
+
+/// Interval between the polls of `kubectl wait` and `rollout status`.
+const POLL_MS: u64 = 500;
+
+/// Moves the clock from a failed poll to the next poll that can see a
+/// different cluster. Polls sit on a [`POLL_MS`] grid counted from `start`,
+/// the poll loop's start. Nothing a poll reads changes before the
+/// cluster's next event, so every poll before it would fail the same way:
+/// the clock goes straight to the first poll at or after that event or
+/// `deadline`, whichever is earlier.
+fn advance_to_next_poll(cluster: &mut Cluster, start: u64, deadline: u64) {
+    let now = cluster.now_ms();
+    let wake = cluster
+        .next_event_ms()
+        .map_or(deadline, |t| t.min(deadline))
+        .max(now.saturating_add(1));
+    cluster.advance(grid_at_or_after(start, POLL_MS, wake) - now);
 }
 
 /// Case-insensitive condition check with the aliases kubectl accepts.
@@ -1135,7 +1154,8 @@ fn rollout_cmd(cluster: &mut Cluster, flags: &Flags, ns: &str) -> KubectlResult 
         ..Flags::default()
     };
     let timeout = flags.timeout_ms.unwrap_or(60_000);
-    let deadline = cluster.now_ms() + timeout;
+    let start = cluster.now_ms();
+    let deadline = start.saturating_add(timeout);
     loop {
         let (_, resources) = match lookup_resources(cluster, &inner, ns) {
             Ok(r) => r,
@@ -1159,7 +1179,7 @@ fn rollout_cmd(cluster: &mut Cluster, flags: &Flags, ns: &str) -> KubectlResult 
         if cluster.now_ms() >= deadline {
             return KubectlResult::err("error: deployment exceeded its progress deadline", 1);
         }
-        cluster.advance(500);
+        advance_to_next_poll(cluster, start, deadline);
     }
 }
 
@@ -1253,6 +1273,30 @@ mod tests {
         );
         assert_eq!(r.code, 1);
         assert!(r.stderr.contains("timed out"));
+    }
+
+    #[test]
+    fn timed_out_wait_on_replica_blow_up_skips_idle_polls() {
+        let mut c = Cluster::new();
+        let blow_up = "apiVersion: apps/v1\nkind: Deployment\nmetadata:\n  name: big\nspec:\n  replicas: 1000\n  selector:\n    matchLabels:\n      app: big\n  template:\n    metadata:\n      labels:\n        app: big\n    spec:\n      containers:\n      - name: c\n        image: nope-missing:v9\n";
+        run(&mut c, &argv("apply -f -"), blow_up, &no_fs);
+        let passes = c.reconcile_passes();
+        let r = run(
+            &mut c,
+            &argv("wait --for=condition=Ready pod -l app=big --timeout=120s"),
+            "",
+            &no_fs,
+        );
+        assert_eq!(r.code, 1);
+        assert_eq!(
+            r.stderr,
+            "error: timed out waiting for the condition on pod"
+        );
+        assert_eq!(c.now_ms(), 120_000);
+        // A pass at every 250 ms tick would be ~480. Unpullable pods have
+        // no timers, so after the tick that settles the apply only the
+        // first poll and the deadline reconcile.
+        assert!(c.reconcile_passes() - passes <= 8);
     }
 
     #[test]

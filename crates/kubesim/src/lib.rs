@@ -17,8 +17,18 @@
 //!   rollout) with JSONPath output;
 //! * [`net::curl`] — simulated cluster networking for functional probes.
 //!
-//! Time is virtual: `kubectl wait --timeout=60s` advances the simulated
-//! clock, so a full unit-test run costs microseconds of wall time.
+//! Time is virtual and event-driven: `kubectl wait --timeout=60s` advances
+//! the simulated clock, so a full unit-test run costs microseconds of wall
+//! time. [`Cluster::advance`] reconciles on a 250 ms grid, but only at the
+//! grid instants where the cluster can change: the next instant after a
+//! pass that created or removed something, the first instant at or after
+//! the earliest pending timer, and the target. The timers are a pod's
+//! image-pull-done, ready and terminate times, a LoadBalancer Service's
+//! external IP (+2 s), an Ingress's address (+1 s) and a CronJob's next
+//! minute boundary. `kubectl wait` and `rollout status` poll on a 500 ms
+//! grid and likewise jump to the first poll at or after the next timer or
+//! their deadline. Verdicts, transcripts and simulated times are the ones
+//! a reconcile at every tick and a poll every 500 ms would give.
 //!
 //! # Examples
 //!
