@@ -34,12 +34,10 @@ fn bench_executor_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Seed queue engine vs the sharded work-stealing + memo engine on the
-/// same workload — the scoring-throughput number the ROADMAP tracks.
-///
-/// Two workload shapes: `distinct` (every candidate unique, measures pure
-/// scheduling overhead) and `passk` (4 samples per problem where weak
-/// models repeat answers, measures the content-addressed cache too).
+/// Executor throughput on two workload shapes: `distinct` (every
+/// candidate unique, measures pure scheduling overhead) and `passk` (4
+/// samples per problem where weak models repeat answers, measures the
+/// content-addressed cache too).
 fn bench_executor_engines(c: &mut Criterion) {
     let distinct = executor_jobs(96);
     // pass@k-shaped: each problem appears 4x; half the samples are
@@ -66,14 +64,7 @@ fn bench_executor_engines(c: &mut Criterion) {
     group.sample_size(10);
     for (label, jobs) in [("distinct", &distinct), ("passk", &passk)] {
         group.bench_with_input(
-            BenchmarkId::new("queue_seed", label),
-            jobs,
-            |b, jobs: &Vec<evalcluster::UnitTestJob>| {
-                b.iter(|| evalcluster::run_jobs_queue(black_box(jobs), 8))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("sharded_memo", label),
+            BenchmarkId::new("run_jobs", label),
             jobs,
             |b, jobs: &Vec<evalcluster::UnitTestJob>| {
                 b.iter(|| evalcluster::run_jobs(black_box(jobs), 8))

@@ -14,6 +14,7 @@ use ceserve::loadgen::{self, LoadGenConfig};
 use ceserve::ServerConfig;
 use cloudeval_core::harness::score_submission;
 use evalcluster::memo::ScoreMemo;
+use substrate::{ShellSubstrate, Substrate};
 use yamlkit::Yaml;
 
 /// Knobs of one `repro serve` run.
@@ -98,10 +99,10 @@ pub fn serve_report(options: &ServeOptions) -> String {
     let mut diverged = 0usize;
     let mut failures = 0usize;
     // Second axis: the served verdicts must also agree with the
-    // **pre-refactor text path** — static metrics recomputed by
-    // `score_pair_text` (every layer re-parsing) and the unit test
-    // re-executed through `execute_uncached_text` — so the parse-once
-    // document model is provably invisible at the HTTP boundary.
+    // **text path** — static metrics recomputed by `score_pair_text` and
+    // the unit test re-executed through the substrate's text entry point
+    // (every layer re-parsing) — so the parse-once document model is
+    // provably invisible at the HTTP boundary.
     let mut text_diverged = 0usize;
     let refs = RefCache::new();
     let by_id: HashMap<&str, &cedataset::Problem> = dataset
@@ -121,10 +122,12 @@ pub fn serve_report(options: &ServeOptions) -> String {
                 score_submission(problem, item.variant, &item.raw, &ScoreMemo::new(), &refs);
             let yaml = llmsim::extract_yaml(&item.raw);
             let text_scores = cescore::score_pair_text(&problem.labeled_reference, &yaml);
-            let text_exec = evalcluster::execute_uncached_text(&yaml, &problem.unit_test);
+            let text_exec = match ShellSubstrate::new().execute(&yaml, &problem.unit_test) {
+                Ok(outcome) => (outcome.passed, outcome.simulated_ms),
+                Err(_) => (false, 0),
+            };
             if verdict.scores.static_metrics() != text_scores.static_metrics()
-                || verdict.passed != text_exec.passed
-                || verdict.simulated_ms != text_exec.simulated_ms
+                || (verdict.passed, verdict.simulated_ms) != text_exec
             {
                 // Poison the expectation so the divergence is counted for
                 // every response of this item.

@@ -6,15 +6,17 @@
 //!
 //! * [`evaluate`] — the streaming stage-graph driver: generation
 //!   ([`llmsim::query_stream`]), `extract_yaml` post-processing, static
-//!   scoring ([`cescore::score_pair`] on its own worker pool, off the
-//!   main thread) and substrate execution
+//!   scoring ([`cescore::score_pair_prepared`] on its own worker pool,
+//!   off the main thread) and substrate execution
 //!   ([`evalcluster::run_jobs_stream`]) all run **concurrently**, records
 //!   flowing between stages over bounded channels
 //!   ([`crate::pipeline`]). Wall-clock tracks the slowest record chain,
-//!   not the slowest phase.
+//!   not the slowest phase. Each candidate is parsed once into a
+//!   [`PreparedDoc`] that the scorer and the unit-test job share.
 //! * [`evaluate_barriered`] — the seed phase-barrier driver (all prompts,
-//!   then all extractions, then all unit tests, then serial scoring),
-//!   kept as the reference semantics and the benchmark baseline.
+//!   then all extractions, then all unit tests, then serial scoring
+//!   through [`cescore::score_pair_text`]), kept as the reference
+//!   semantics and the benchmark baseline.
 //!
 //! Both drivers dedupe unit-test executions by content hash (identical
 //! extracted YAML for the same unit test scores once) and honor
@@ -105,14 +107,6 @@ pub struct EvalOptions {
     /// Applied identically by both drivers (so comparisons stay fair);
     /// `None` (the default) generates at pure simulation speed.
     pub live_latency_ms: Option<u64>,
-    /// Parse-once document model (the default). Each candidate is parsed
-    /// exactly once into a shared [`PreparedDoc`] that flows from the
-    /// scoring stage into substrate execution, and each reference is
-    /// prepared once per [`RefCache`] lifetime. `false` selects the
-    /// pre-refactor text path — every layer re-parses the text — kept as
-    /// the A/B baseline (`repro pipeline --prepared off`); verdicts are
-    /// identical either way.
-    pub prepared: bool,
     /// Shared prepared-reference cache. `None` (the default) uses a
     /// run-local cache — each reference still parses at most once within
     /// the run; supply one `Arc<RefCache>` across runs to parse each
@@ -131,7 +125,6 @@ impl Default for EvalOptions {
             memo: None,
             channel_bound: DEFAULT_CHANNEL_BOUND,
             live_latency_ms: None,
-            prepared: true,
             refs: None,
         }
     }
@@ -195,9 +188,10 @@ fn plan<'d>(
 
 /// Assembles the final record for one coordinate — shared verbatim by
 /// both drivers so their outputs stay bit-identical. `clean_reference` is
-/// the label-stripped reference: the text driver computes it per record
-/// (the seed behavior), the prepared driver reads it off the session's
-/// [`cescore::PreparedRef`] — the strings are identical by construction.
+/// the label-stripped reference: the barriered driver computes it per
+/// record (the seed behavior), the streaming driver reads it off the
+/// session's [`cescore::PreparedRef`] — the strings are identical by
+/// construction.
 fn assemble_record(
     model_name: &str,
     problem: &Problem,
@@ -249,15 +243,12 @@ impl Stage for ExtractStage {
 /// the substrate execution pool the moment the YAML is known, so cloud
 /// evaluation overlaps scoring *and* generation.
 ///
-/// In prepared mode (`refs` set) this is where the candidate's
-/// one-and-only parse happens: the [`PreparedDoc`] built here is shared
-/// by `Arc` with the substrate job, and the reference comes pre-parsed
-/// from the [`RefCache`]. In text mode every layer re-parses, exactly
-/// like the seed pipeline.
+/// This is where the candidate's one-and-only parse happens: the
+/// [`PreparedDoc`] built here is shared by `Arc` with the substrate job,
+/// and the reference comes pre-parsed from the [`RefCache`].
 struct ScoreStage<'a> {
     coords: &'a [(&'a Problem, Variant)],
-    /// `Some` → parse-once prepared scoring; `None` → seed text path.
-    refs: Option<&'a RefCache>,
+    refs: &'a RefCache,
     jobs: SyncSender<(usize, UnitTestJob)>,
     workers: usize,
 }
@@ -278,26 +269,15 @@ impl Stage for ScoreStage<'_> {
         // thread computes BLEU/edit-distance/kv metrics. A send error
         // means the execution pool is gone; the collector will flag the
         // missing verdict.
-        match self.refs {
-            Some(refs) => {
-                let doc = PreparedDoc::shared(yaml);
-                let job =
-                    UnitTestJob::prepared(problem_id, problem.unit_test.clone(), Arc::clone(&doc));
-                let _ = self.jobs.send((index, job));
-                let reference = refs.prepare(&problem.labeled_reference);
-                // Stage workers are long-lived pool threads, so the
-                // thread-local kernel scratch inside score_pair_prepared
-                // is reused across every record this worker scores.
-                let scores = score_pair_prepared(&reference, &doc);
-                (doc.text().to_owned(), scores)
-            }
-            None => {
-                let job = UnitTestJob::new(problem_id, problem.unit_test.clone(), yaml.clone());
-                let _ = self.jobs.send((index, job));
-                let scores = cescore::score_pair_text(&problem.labeled_reference, &yaml);
-                (yaml, scores)
-            }
-        }
+        let doc = PreparedDoc::shared(yaml);
+        let job = UnitTestJob::prepared(problem_id, problem.unit_test.clone(), Arc::clone(&doc));
+        let _ = self.jobs.send((index, job));
+        let reference = self.refs.prepare(&problem.labeled_reference);
+        // Stage workers are long-lived pool threads, so the thread-local
+        // kernel scratch inside score_pair_prepared is reused across
+        // every record this worker scores.
+        let scores = score_pair_prepared(&reference, &doc);
+        (doc.text().to_owned(), scores)
     }
 }
 
@@ -319,7 +299,7 @@ pub fn evaluate(
     let local_memo = ScoreMemo::new();
     let memo = options.memo_or(&local_memo);
     let local_refs = RefCache::new();
-    let refs = options.prepared.then(|| options.refs_or(&local_refs));
+    let refs = options.refs_or(&local_refs);
     let bound = options.channel_bound.max(1);
 
     let verdicts: Mutex<Vec<Option<bool>>> = Mutex::new(vec![None; n]);
@@ -386,15 +366,10 @@ pub fn evaluate(
         .zip(verdicts)
         .map(|(((problem, variant), (yaml, scores)), passed)| {
             let passed = passed.expect("substrate pool dropped a verdict");
-            let clean = match refs {
-                // Cache hit: the reference was prepared during scoring.
-                Some(refs) => refs
-                    .prepare(&problem.labeled_reference)
-                    .clean_text()
-                    .to_owned(),
-                None => problem.clean_reference(),
-            };
-            assemble_record(model.name(), problem, variant, &clean, yaml, scores, passed)
+            // Cache hit: the reference was prepared during scoring.
+            let reference = refs.prepare(&problem.labeled_reference);
+            let clean = reference.clean_text();
+            assemble_record(model.name(), problem, variant, clean, yaml, scores, passed)
         })
         .collect()
 }
@@ -402,14 +377,12 @@ pub fn evaluate(
 /// Runs the full pipeline for one model with the seed's phase barriers:
 /// every prompt is answered before any YAML is extracted, every unit
 /// test runs before any static metric is computed, and the static
-/// metrics are computed serially on the calling thread — **on the
-/// pre-refactor text path** (every layer re-parses the candidate), which
-/// this driver preserves verbatim regardless of
-/// [`EvalOptions::prepared`].
+/// metrics are computed serially on the calling thread through the text
+/// scorer [`cescore::score_pair_text`] (which re-parses both sides).
 ///
 /// Kept as the reference semantics [`evaluate`] must reproduce exactly
 /// (the `pipeline_determinism` suite proves record equality, which also
-/// certifies the parse-once document model against the text path), and
+/// certifies parse-once scoring against the text scorer), and
 /// as the baseline the `pipeline_engine` bench group and `repro
 /// pipeline` measure the stage-graph against.
 pub fn evaluate_barriered(
@@ -1383,37 +1356,6 @@ mod tests {
         let streamed = evaluate(&model, &dataset, &options);
         let barriered = evaluate_barriered(&model, &dataset, &options);
         assert_eq!(streamed, barriered);
-    }
-
-    #[test]
-    fn prepared_and_text_paths_produce_identical_records() {
-        // The parse-once document model must be invisible in the output:
-        // the same grid through `prepared: false` (every layer re-parses,
-        // the seed cost model) and the default prepared path yields
-        // byte-identical records, and both match the barriered driver.
-        let dataset = Arc::new(Dataset::generate());
-        let model = SimulatedModel::new(
-            ModelProfile::by_name("llama-2-70b-chat").unwrap(),
-            Arc::clone(&dataset),
-        );
-        let base = EvalOptions {
-            stride: 13,
-            workers: 4,
-            variants: vec![Variant::Original, Variant::Simplified],
-            ..EvalOptions::default()
-        };
-        let prepared = evaluate(&model, &dataset, &base);
-        let text = evaluate(
-            &model,
-            &dataset,
-            &EvalOptions {
-                prepared: false,
-                ..base.clone()
-            },
-        );
-        assert_eq!(prepared, text);
-        let barriered = evaluate_barriered(&model, &dataset, &base);
-        assert_eq!(prepared, barriered);
     }
 
     #[test]

@@ -40,9 +40,8 @@ proptest! {
 
     /// The core determinism property: streamed output is bit-identical
     /// to the barriered reference across the scheduling parameter space
-    /// — with the parse-once document model both on (the default; this
-    /// also certifies prepared scoring against the barriered text path)
-    /// and off (pure scheduling comparison).
+    /// (this also certifies parse-once scoring against the barriered
+    /// driver's text scorer).
     #[test]
     fn streamed_evaluate_is_record_identical_to_barriered(
         workers in 1usize..6,
@@ -50,7 +49,6 @@ proptest! {
         bound in 1usize..48,
         model_idx in 0usize..12,
         variant_mask in 1usize..8,
-        prepared in any::<bool>(),
     ) {
         let (dataset, models) = models();
         let model = &models[model_idx % models.len()];
@@ -59,7 +57,6 @@ proptest! {
             stride,
             channel_bound: bound,
             variants: variant_subset(variant_mask),
-            prepared,
             ..EvalOptions::default()
         };
         let streamed = evaluate(model, dataset, &options);

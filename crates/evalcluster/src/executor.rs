@@ -1,60 +1,50 @@
 //! The parallel unit-test executor: the live counterpart of §3.3's
 //! "Scalable Evaluation Cluster".
 //!
-//! Two execution engines share one job/result vocabulary:
+//! One engine, two entry points sharing one job/result vocabulary:
 //!
-//! * [`run_jobs`] — the production engine: a sharded work-stealing
-//!   scheduler ([`crate::shard`]) driving the [`substrate::Substrate`]
-//!   trait, with a content-addressed score memo ([`crate::memo`]) so
-//!   identical `(candidate, script)` pairs — ubiquitous under pass@k
-//!   sampling — execute exactly once;
-//! * [`run_jobs_queue`] — the §3.3-faithful master/worker pattern over the
-//!   [`crate::MiniRedis`] blocking queue, kept as
-//!   the distributed-deployment reference model and as the benchmark
-//!   baseline the sharded engine is measured against.
+//! * [`run_jobs_stream`] — the engine: a pool of workers that consumes
+//!   `(record_index, job)` pairs from a channel as they arrive, runs each
+//!   through the [`substrate::Substrate`] trait, and emits every verdict
+//!   the moment it is known. A content-addressed score memo
+//!   ([`crate::memo`]) plus an in-flight table make identical
+//!   `(candidate, script)` pairs — ubiquitous under pass@k sampling —
+//!   execute exactly once;
+//! * [`run_jobs`] / [`run_jobs_cached`] — the batch collector over that
+//!   engine (the same pattern as `llmsim::query_batch` over
+//!   `query_stream`): feeds the first occurrence of every key, copies its
+//!   verdict to later occurrences, and returns results in input order.
 //!
 //! Every job gets a freshly prepared substrate environment, so tests are
 //! hermetic — the clean-environment guarantee the paper gets from tearing
-//! clusters down between problems.
+//! clusters down between problems. The §3.3 master/worker deployment
+//! itself is modelled by [`crate::des`].
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use substrate::{content_hash, ShellSubstrate, Substrate};
 use yamlkit::PreparedDoc;
 
 use crate::memo::{CachedVerdict, ScoreMemo};
-use crate::miniredis::MiniRedis;
-use crate::shard::run_sharded;
 
-/// The candidate side of a job: either raw text (the pre-refactor shape,
-/// parsed by every layer that touches it) or a parse-once
-/// [`PreparedDoc`] shared with the scoring stage by `Arc`.
-#[derive(Debug, Clone)]
-enum Candidate {
-    /// Raw YAML text; hashed per memo lookup and re-parsed by the
-    /// substrate layers, exactly like the seed pipeline. Kept as the
-    /// reference cost model for the `--prepared off` A/B path.
-    Text(String),
-    /// Pre-parsed document: hash cached, parse shared with every layer.
-    Prepared(Arc<PreparedDoc>),
-}
-
-/// One unit-test job.
+/// One unit-test job. The candidate travels as a parse-once
+/// [`PreparedDoc`], shared by `Arc` with whichever stage prepared it.
 #[derive(Debug, Clone)]
 pub struct UnitTestJob {
     /// Problem identifier.
     pub problem_id: String,
     /// The bash unit-test script.
     pub script: String,
-    candidate: Candidate,
+    candidate: Arc<PreparedDoc>,
     retry: bool,
 }
 
 impl PartialEq for UnitTestJob {
-    /// Jobs are equal when their observable inputs are — the candidate
-    /// representation (text vs prepared) and the retry flag change
-    /// scheduling cost, never the verdict.
+    /// Jobs are equal when their observable inputs are — the retry flag
+    /// changes scheduling cost, never the verdict.
     fn eq(&self, other: &Self) -> bool {
         self.problem_id == other.problem_id
             && self.script == other.script
@@ -65,22 +55,17 @@ impl PartialEq for UnitTestJob {
 impl Eq for UnitTestJob {}
 
 impl UnitTestJob {
-    /// A job over raw candidate text (the seed pipeline's shape: every
-    /// downstream layer parses the text itself).
+    /// A job over raw candidate text, prepared (parsed and hashed) once
+    /// here.
     pub fn new(
         problem_id: impl Into<String>,
         script: impl Into<String>,
         candidate_yaml: impl Into<String>,
     ) -> UnitTestJob {
-        UnitTestJob {
-            problem_id: problem_id.into(),
-            script: script.into(),
-            candidate: Candidate::Text(candidate_yaml.into()),
-            retry: false,
-        }
+        UnitTestJob::prepared(problem_id, script, PreparedDoc::shared(candidate_yaml))
     }
 
-    /// A job over a parse-once prepared candidate: the substrate consumes
+    /// A job over an already prepared candidate: the substrate consumes
     /// the shared parsed documents instead of re-parsing, and the memo
     /// key reads the cached content hash.
     pub fn prepared(
@@ -91,7 +76,7 @@ impl UnitTestJob {
         UnitTestJob {
             problem_id: problem_id.into(),
             script: script.into(),
-            candidate: Candidate::Prepared(candidate),
+            candidate,
             retry: false,
         }
     }
@@ -114,36 +99,19 @@ impl UnitTestJob {
         self.retry
     }
 
-    /// The candidate YAML text (whatever the representation).
+    /// The candidate YAML text.
     pub fn candidate_yaml(&self) -> &str {
-        match &self.candidate {
-            Candidate::Text(text) => text,
-            Candidate::Prepared(doc) => doc.text(),
-        }
+        self.candidate.text()
     }
 
-    /// Whether the candidate travels in parse-once prepared form.
-    pub fn is_prepared(&self) -> bool {
-        matches!(self.candidate, Candidate::Prepared(_))
-    }
-
-    /// The content-addressed memo key for this job. Prepared candidates
-    /// read their cached hash; text candidates hash on every call (the
-    /// pre-refactor behavior).
+    /// The content-addressed memo key for this job.
     pub fn memo_key(&self) -> (u64, u64) {
-        let candidate_hash = match &self.candidate {
-            Candidate::Text(text) => content_hash(text),
-            Candidate::Prepared(doc) => doc.content_hash(),
-        };
-        (candidate_hash, content_hash(&self.script))
+        (self.candidate.content_hash(), content_hash(&self.script))
     }
 
     /// Executes this job hermetically (no memo involved).
     fn execute(&self) -> CachedVerdict {
-        match &self.candidate {
-            Candidate::Text(text) => execute_uncached_text(text, &self.script),
-            Candidate::Prepared(doc) => execute_uncached(doc, &self.script),
-        }
+        execute_uncached(&self.candidate, &self.script)
     }
 }
 
@@ -160,9 +128,7 @@ pub struct JobResult {
     /// executed their first occurrence; results served from a warm
     /// cross-run memo report 0 (no worker ran them this run).
     pub worker: usize,
-    /// Taxonomy classification when the job failed (`None` on a pass, or
-    /// when the result traveled a wire that does not carry diagnoses —
-    /// the §3.3 queue engine's string protocol).
+    /// Taxonomy classification when the job failed (`None` on a pass).
     pub diagnosis: Option<substrate::taxonomy::Diagnosis>,
 }
 
@@ -179,8 +145,6 @@ pub struct RunReport {
     pub executed: usize,
     /// Jobs answered from the score memo / in-run deduplication.
     pub cache_hits: usize,
-    /// Jobs that migrated across shards via work stealing.
-    pub stolen: usize,
 }
 
 impl RunReport {
@@ -190,31 +154,15 @@ impl RunReport {
     }
 }
 
-const QUEUE: &str = "cloudeval:jobs";
-const RESULTS: &str = "cloudeval:results";
-
 /// Executes one prepared candidate hermetically on a fresh shell
 /// substrate and maps the outcome to a verdict: the substrate consumes
 /// the candidate's one-and-only parse (the sandbox cluster is primed, so
 /// the script's `kubectl apply` skips its parse too). Candidate faults
 /// and probe failures both score 0 — the seed path's "interpreter error
-/// counts as failure" policy. Every engine (batch, queue, stream) and
-/// the service layer's single-submission path share this one mapping.
+/// counts as failure" policy. The engine and the service layer's
+/// single-submission path share this one mapping.
 pub fn execute_uncached(candidate: &PreparedDoc, script: &str) -> CachedVerdict {
-    outcome_to_verdict(ShellSubstrate::new().execute_prepared(candidate, script))
-}
-
-/// [`execute_uncached`] over raw candidate text: every substrate layer
-/// parses the text itself, exactly like the seed pipeline. Kept as the
-/// reference execution path the parse-once refactor is verified and
-/// benchmarked against (`repro pipeline --prepared off`).
-pub fn execute_uncached_text(candidate_yaml: &str, script: &str) -> CachedVerdict {
-    outcome_to_verdict(ShellSubstrate::new().execute(candidate_yaml, script))
-}
-
-fn outcome_to_verdict(
-    result: Result<substrate::ExecOutcome, substrate::ExecError>,
-) -> CachedVerdict {
+    let result = ShellSubstrate::new().execute_prepared(candidate, script);
     let diagnosis = substrate::taxonomy::classify_result(&result);
     match result {
         Ok(outcome) => CachedVerdict {
@@ -231,8 +179,8 @@ fn outcome_to_verdict(
 }
 
 /// Runs all jobs over `workers` threads; results come back in input
-/// order. Uses the sharded work-stealing engine with a run-local score
-/// memo — see [`run_jobs_cached`] to share a memo across runs.
+/// order. Uses a run-local score memo — see [`run_jobs_cached`] to share
+/// a memo across runs.
 pub fn run_jobs(jobs: &[UnitTestJob], workers: usize) -> RunReport {
     run_jobs_cached(jobs, workers, &ScoreMemo::new())
 }
@@ -240,77 +188,49 @@ pub fn run_jobs(jobs: &[UnitTestJob], workers: usize) -> RunReport {
 /// Like [`run_jobs`], with a caller-owned [`ScoreMemo`] so verdicts carry
 /// over between batches (pass@k sweeps, resumed grids).
 ///
-/// Identical `(candidate_yaml, script)` pairs are deduplicated *before*
-/// dispatch: the first occurrence executes, every other occurrence —
-/// in-batch duplicate or cross-batch memo hit — is answered from cache
-/// without touching a substrate.
+/// A collector over [`run_jobs_stream`]. Identical `(candidate_yaml,
+/// script)` pairs are deduplicated *before* dispatch: only the first
+/// occurrence of each key is streamed (and probes the memo), every later
+/// occurrence copies its result without touching the memo or a
+/// substrate. A repeated retry job therefore executes at most once per
+/// batch.
 pub fn run_jobs_cached(jobs: &[UnitTestJob], workers: usize, memo: &ScoreMemo) -> RunReport {
     let start = Instant::now();
-    // Plan: for each job, either execute (first sight of its key) or copy
-    // the verdict of an earlier job / the memo.
-    #[derive(Clone)]
-    enum Plan {
-        Execute(usize), // index into `unique`
-        Memoized(CachedVerdict),
-    }
-    let mut key_to_unique: std::collections::HashMap<(u64, u64), usize> =
-        std::collections::HashMap::new();
-    let mut unique: Vec<usize> = Vec::new(); // job index of each unique execution
-    let mut plans: Vec<Plan> = Vec::with_capacity(jobs.len());
-    for (i, job) in jobs.iter().enumerate() {
-        let key = job.memo_key();
-        if let Some(&u) = key_to_unique.get(&key) {
-            plans.push(Plan::Execute(u)); // alias of an in-batch execution
-            continue;
-        }
-        // A retry job treats a memoized retryable failure as stale.
-        if let Some(verdict) = memo.get_fresh(key, job.is_retry()) {
-            plans.push(Plan::Memoized(verdict));
-            continue;
-        }
-        key_to_unique.insert(key, unique.len());
-        plans.push(Plan::Execute(unique.len()));
-        unique.push(i);
-    }
+    // For each job, the index of the first job with its key.
+    let mut first_of: HashMap<(u64, u64), usize> = HashMap::new();
+    let source: Vec<usize> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, job)| *first_of.entry(job.memo_key()).or_insert(i))
+        .collect();
 
-    // Execute the unique jobs on per-worker substrates.
-    let (verdicts, stats) = run_sharded(unique.len(), workers, |worker, u| {
-        let job = &jobs[unique[u]];
-        let verdict = job.execute();
-        memo.insert(job.memo_key(), verdict.clone());
-        (verdict, worker)
+    let (tx, rx) = std::sync::mpsc::channel();
+    for (i, job) in jobs.iter().enumerate().filter(|&(i, _)| source[i] == i) {
+        tx.send((i, job.clone())).expect("receiver is alive");
+    }
+    drop(tx);
+    let slots: Mutex<Vec<Option<JobResult>>> = Mutex::new(vec![None; jobs.len()]);
+    // No more threads than distinct keys: extra ones would only idle.
+    let pool = workers.clamp(1, first_of.len().max(1));
+    let stats = run_jobs_stream(rx, pool, memo, |i, result| {
+        slots.lock().expect("result slots poisoned")[i] = Some(result);
     });
 
-    let executed = unique.len();
+    let slots = slots.into_inner().expect("result slots poisoned");
     let results: Vec<JobResult> = jobs
         .iter()
-        .zip(&plans)
-        .map(|(job, plan)| {
-            let (verdict, worker) = match plan {
-                Plan::Execute(u) => {
-                    let (v, w) = &verdicts[*u];
-                    (v.clone(), *w)
-                }
-                Plan::Memoized(v) => (v.clone(), 0),
-            };
-            JobResult {
-                problem_id: job.problem_id.clone(),
-                passed: verdict.passed,
-                simulated_ms: verdict.simulated_ms,
-                worker,
-                diagnosis: verdict.diagnosis,
-            }
+        .zip(&source)
+        .map(|(job, &s)| JobResult {
+            problem_id: job.problem_id.clone(),
+            ..slots[s].clone().expect("stream engine dropped a job")
         })
         .collect();
     RunReport {
         results,
         wall: start.elapsed(),
-        // The requested pool width (the scheduler may use fewer threads
-        // when there are fewer unique jobs than workers).
         workers: workers.max(1),
-        executed,
-        cache_hits: jobs.len() - executed,
-        stolen: stats.stolen,
+        executed: stats.executed,
+        cache_hits: jobs.len() - stats.executed,
     }
 }
 
@@ -327,10 +247,10 @@ pub struct StreamStats {
     pub cache_hits: usize,
 }
 
-/// The streaming counterpart of [`run_jobs_cached`]: consumes
-/// `(record_index, job)` pairs from a channel **as they arrive** — no
-/// full `&[UnitTestJob]` slice required — and emits each
-/// `(record_index, JobResult)` the moment its verdict is known.
+/// The execution engine: consumes `(record_index, job)` pairs from a
+/// channel **as they arrive** — no full `&[UnitTestJob]` slice required —
+/// and emits each `(record_index, JobResult)` the moment its verdict is
+/// known.
 ///
 /// This is the execution stage of the stage-graph pipeline: upstream
 /// generation/scoring stages feed jobs while earlier jobs are already
@@ -341,9 +261,9 @@ pub struct StreamStats {
 /// results): the first arrival of a `(candidate, script)` key executes;
 /// arrivals *while that execution is in flight* park on a wait list and
 /// are answered when it completes; later arrivals hit the memo. Identical
-/// candidates therefore execute exactly once per memo lifetime, same as
-/// the batch engine. `emit` is called from worker threads, concurrently
-/// and in completion order.
+/// candidates therefore execute exactly once per memo lifetime. Every
+/// arrival that does not park probes the memo exactly once. `emit` is
+/// called from worker threads, concurrently and in completion order.
 ///
 /// Returns once the channel disconnects (all senders dropped) and every
 /// received job has been answered.
@@ -356,10 +276,6 @@ pub fn run_jobs_stream<F>(
 where
     F: Fn(usize, JobResult) + Send + Sync,
 {
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
     // Parked duplicates of an executing key: (record_index, problem_id)
     // pairs answered when the execution completes.
     type WaitList = Vec<(usize, String)>;
@@ -379,16 +295,7 @@ where
                 let received = input.lock().expect("stream input poisoned").recv();
                 let Ok((idx, job)) = received else { break };
                 let key = job.memo_key();
-                // A retry job treats a memoized retryable failure as
-                // stale and falls through to re-execute; any other
-                // memoized verdict answers it like a normal job.
-                // Fast path: a finished verdict in the memo.
-                if let Some(v) = memo.get_fresh(key, job.is_retry()) {
-                    cache_hits.fetch_add(1, Ordering::Relaxed);
-                    emit(idx, cached_result(job.problem_id, v));
-                    continue;
-                }
-                {
+                let cached = {
                     let mut table = in_flight.lock().expect("in-flight table poisoned");
                     if let Some(waiters) = table.get_mut(&key) {
                         // Same key already executing: park until it lands.
@@ -399,36 +306,33 @@ where
                         cache_hits.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
-                    // The key may have completed between the memo probe and
-                    // taking the table lock; re-check before claiming it.
-                    if let Some(v) = memo.get_fresh(key, job.is_retry()) {
-                        cache_hits.fetch_add(1, Ordering::Relaxed);
-                        emit(idx, cached_result(job.problem_id, v));
-                        continue;
+                    // Not in flight, so either never claimed or already
+                    // memoized: a finishing execution records its verdict
+                    // before it leaves the table. A retry job treats a
+                    // memoized retryable failure as stale and claims the
+                    // key to re-execute.
+                    let cached = memo.get_fresh(key, job.is_retry());
+                    if cached.is_none() {
+                        table.insert(key, Vec::new());
                     }
-                    table.insert(key, Vec::new());
+                    cached
+                };
+                if let Some(v) = cached {
+                    cache_hits.fetch_add(1, Ordering::Relaxed);
+                    emit(idx, cached_result(job.problem_id, v));
+                    continue;
                 }
                 let verdict = job.execute();
                 memo.insert(key, verdict.clone());
                 executed.fetch_add(1, Ordering::Relaxed);
-                emit(
-                    idx,
-                    JobResult {
-                        problem_id: job.problem_id,
-                        passed: verdict.passed,
-                        simulated_ms: verdict.simulated_ms,
-                        worker: w,
-                        diagnosis: verdict.diagnosis.clone(),
-                    },
-                );
                 let waiters = in_flight
                     .lock()
                     .expect("in-flight table poisoned")
                     .remove(&key)
                     .unwrap_or_default();
-                for (widx, problem_id) in waiters {
+                for (i, problem_id) in std::iter::once((idx, job.problem_id)).chain(waiters) {
                     emit(
-                        widx,
+                        i,
                         JobResult {
                             problem_id,
                             passed: verdict.passed,
@@ -459,89 +363,9 @@ fn cached_result(problem_id: String, v: CachedVerdict) -> JobResult {
     }
 }
 
-/// The seed §3.3 master/worker engine: jobs flow through a Redis-like
-/// blocking queue, workers claim them with `BLPOP`, results return keyed
-/// by index. No deduplication, no stealing — the faithful distributed
-/// model, and the baseline `cargo bench` compares the sharded engine to.
-pub fn run_jobs_queue(jobs: &[UnitTestJob], workers: usize) -> RunReport {
-    let redis = Arc::new(MiniRedis::new());
-    let start = Instant::now();
-    // Master: enqueue jobs keyed by index; store payloads in hashes.
-    for (i, job) in jobs.iter().enumerate() {
-        let key = format!("job:{i}");
-        redis.hset(&key, "problem", &job.problem_id);
-        redis.hset(&key, "script", &job.script);
-        redis.hset(&key, "candidate", job.candidate_yaml());
-        redis.rpush(QUEUE, i.to_string());
-    }
-    let workers = workers.max(1);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let redis = Arc::clone(&redis);
-            scope.spawn(move || {
-                while let Some(idx) = redis.blpop(QUEUE, Duration::from_millis(20)) {
-                    let key = format!("job:{idx}");
-                    let problem = redis.hget(&key, "problem").unwrap_or_default();
-                    let script = redis.hget(&key, "script").unwrap_or_default();
-                    let candidate = redis.hget(&key, "candidate").unwrap_or_default();
-                    let (passed, simulated_ms) = run_one(&script, &candidate);
-                    redis.hset(
-                        RESULTS,
-                        &idx,
-                        format!(
-                            "{problem}\u{1}{}\u{1}{simulated_ms}\u{1}{w}",
-                            u8::from(passed)
-                        ),
-                    );
-                    redis.incr("completed");
-                }
-            });
-        }
-    });
-    let mut results = Vec::with_capacity(jobs.len());
-    for i in 0..jobs.len() {
-        let raw = redis
-            .hget(RESULTS, &i.to_string())
-            .unwrap_or_else(|| String::from("?\u{1}0\u{1}0\u{1}0"));
-        let mut parts = raw.split('\u{1}');
-        let problem_id = parts.next().unwrap_or("?").to_owned();
-        let passed = parts.next() == Some("1");
-        let simulated_ms: u64 = parts.next().and_then(|s| s.parse().ok()).unwrap_or(0);
-        let worker: usize = parts.next().and_then(|s| s.parse().ok()).unwrap_or(0);
-        results.push(JobResult {
-            problem_id,
-            passed,
-            simulated_ms,
-            worker,
-            // The queue wire format (the seed-faithful baseline) does not
-            // carry diagnoses.
-            diagnosis: None,
-        });
-    }
-    let executed = jobs.len();
-    RunReport {
-        results,
-        wall: start.elapsed(),
-        workers,
-        executed,
-        cache_hits: 0,
-        stolen: 0,
-    }
-}
-
-/// Runs one unit test hermetically through the shell substrate. Returns
-/// (passed, simulated cluster ms). Text path by construction: the
-/// candidate traveled through the queue as a string, like a real
-/// distributed deployment would ship it.
-fn run_one(script: &str, candidate: &str) -> (bool, u64) {
-    let verdict = execute_uncached_text(candidate, script);
-    (verdict.passed, verdict.simulated_ms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     fn sample_jobs(n: usize) -> Vec<UnitTestJob> {
         let script = "kubectl apply -f labeled_code.yaml\nkubectl wait --for=condition=Ready pod -l app=t --timeout=60s && echo unit_test_passed";
@@ -549,14 +373,8 @@ mod tests {
             .map(|i| {
                 // Distinct pod names keep the jobs content-distinct, like
                 // real problems (identical candidates are a cache test).
-                // Alternate candidate representations so every engine is
-                // exercised on both the text and the parse-once path.
                 let yaml = format!("apiVersion: v1\nkind: Pod\nmetadata:\n  name: web-{i}\n  labels:\n    app: t\nspec:\n  containers:\n  - name: c\n    image: nginx\n");
-                if i % 2 == 0 {
-                    UnitTestJob::new(format!("p{i}"), script, yaml)
-                } else {
-                    UnitTestJob::prepared(format!("p{i}"), script, PreparedDoc::shared(yaml))
-                }
+                UnitTestJob::new(format!("p{i}"), script, yaml)
             })
             .collect()
     }
@@ -638,29 +456,28 @@ mod tests {
 
     #[test]
     fn text_and_prepared_candidates_share_keys_and_verdicts() {
-        let jobs = sample_jobs(2);
+        let jobs = sample_jobs(1);
         let text = UnitTestJob::new("t", jobs[0].script.clone(), jobs[0].candidate_yaml());
         let prepared = UnitTestJob::prepared(
             "t",
             jobs[0].script.clone(),
             PreparedDoc::shared(jobs[0].candidate_yaml()),
         );
-        // Same content → same memo key (cross-representation dedup) and
-        // the same verdict from either execution path.
+        // Same content → same memo key and equal jobs, whichever
+        // constructor prepared the candidate.
         assert_eq!(text.memo_key(), prepared.memo_key());
         assert_eq!(text, prepared);
-        assert!(!text.is_prepared());
-        assert!(prepared.is_prepared());
-        let vt = execute_uncached_text(text.candidate_yaml(), &text.script);
-        let vp = execute_uncached(&PreparedDoc::new(text.candidate_yaml()), &text.script);
-        assert_eq!(vt, vp);
-        assert!(vt.passed);
-        // Garbage candidates agree too (typed invalid-input on both).
-        let garbage = "not yaml {{{";
-        assert_eq!(
-            execute_uncached_text(garbage, &text.script),
-            execute_uncached(&PreparedDoc::new(garbage), &text.script),
-        );
+        // The substrate's text entry point (every layer parses) and the
+        // prepared one the engine uses agree, garbage candidates included
+        // (typed invalid-input on both).
+        for candidate in [text.candidate_yaml(), "not yaml {{{"] {
+            let doc = PreparedDoc::new(candidate);
+            assert_eq!(
+                ShellSubstrate::new().execute(candidate, &text.script),
+                ShellSubstrate::new().execute_prepared(&doc, &text.script),
+            );
+        }
+        assert!(execute_uncached(&PreparedDoc::new(text.candidate_yaml()), &text.script).passed);
     }
 
     #[test]
@@ -673,6 +490,21 @@ mod tests {
         assert_eq!(second.executed, 0);
         assert_eq!(second.cache_hits, 6);
         assert_eq!(first.passed(), second.passed());
+    }
+
+    #[test]
+    fn batch_probes_the_memo_once_per_distinct_key() {
+        // 3 distinct keys, each repeated 4x: only first occurrences reach
+        // the engine, and each probes the memo exactly once.
+        let distinct = sample_jobs(3);
+        let jobs: Vec<UnitTestJob> = (0..12).map(|i| distinct[i % 3].clone()).collect();
+        let memo = ScoreMemo::new();
+        let cold = run_jobs_cached(&jobs, 2, &memo);
+        assert_eq!((cold.executed, cold.cache_hits), (3, 9));
+        assert_eq!((memo.hits(), memo.misses()), (0, 3));
+        let warm = run_jobs_cached(&jobs, 2, &memo);
+        assert_eq!((warm.executed, warm.cache_hits), (0, 12));
+        assert_eq!((memo.hits(), memo.misses()), (3, 3));
     }
 
     /// A pod that deploys fine while the check waits on a label no pod
@@ -727,6 +559,17 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_retry_jobs_in_one_batch_execute_once() {
+        let memo = ScoreMemo::new();
+        run_jobs_cached(&[timeout_job()], 1, &memo);
+        // Both retries see a stale retryable failure in the memo; only
+        // the first occurrence reaches the engine, the second copies it.
+        let report = run_jobs_cached(&[timeout_job().retry(), timeout_job().retry()], 1, &memo);
+        assert_eq!((report.executed, report.cache_hits), (1, 1));
+        assert_eq!(report.results[0], report.results[1]);
+    }
+
+    #[test]
     fn stream_engine_retry_semantics_match_batch() {
         let memo = ScoreMemo::new();
         run_jobs_cached(&[timeout_job(), schema_job()], 2, &memo);
@@ -751,24 +594,24 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_queue_engines_agree() {
+    fn batch_engine_matches_serial_execution() {
         let mut jobs = sample_jobs(12);
         jobs[4] = UnitTestJob::new(
             "p4",
             jobs[4].script.clone(),
             "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: x\n",
         );
-        jobs[9] = UnitTestJob::prepared(
-            "p9",
-            jobs[9].script.clone(),
-            PreparedDoc::shared("not yaml {{{"),
-        );
-        let sharded = run_jobs(&jobs, 3);
-        let queue = run_jobs_queue(&jobs, 3);
-        for (a, b) in sharded.results.iter().zip(&queue.results) {
-            assert_eq!(a.problem_id, b.problem_id);
-            assert_eq!(a.passed, b.passed, "{}", a.problem_id);
-            assert_eq!(a.simulated_ms, b.simulated_ms, "{}", a.problem_id);
+        jobs[9] = UnitTestJob::new("p9", jobs[9].script.clone(), "not yaml {{{");
+        let report = run_jobs(&jobs, 3);
+        assert_eq!(report.executed, 12);
+        for (job, result) in jobs.iter().zip(&report.results) {
+            let serial = execute_uncached(&PreparedDoc::new(job.candidate_yaml()), &job.script);
+            assert_eq!(result.problem_id, job.problem_id);
+            let verdict = (result.passed, result.simulated_ms, &result.diagnosis);
+            let expected = (serial.passed, serial.simulated_ms, &serial.diagnosis);
+            assert_eq!(verdict, expected, "{}", job.problem_id);
         }
+        assert!(!report.results[4].passed && !report.results[9].passed);
+        assert_eq!(report.passed(), 10);
     }
 }

@@ -7,6 +7,11 @@
 //! change to how simulated time advances that alters a verdict, a
 //! transcript byte or a clock reading fails this test.
 //!
+//! The same corpus also runs through the text entry point
+//! `ShellSubstrate::execute` (every layer parses the candidate itself)
+//! and must reproduce the same rows: the parse-once path the engine uses
+//! is invisible in every verdict, transcript and clock reading.
+//!
 //! The jobs are the benchmark's two failure surfaces:
 //!
 //! * the grid's distinct greedy candidates — twelve simulated models ×
@@ -22,12 +27,12 @@
 //! event-driven clock replaced.
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cedataset::{Dataset, Problem, Variant};
 use llmsim::corrupt::{answer_seed, realize};
 use llmsim::{AnswerCategory, GenParams, LanguageModel};
-use substrate::{ShellSubstrate, Substrate};
+use substrate::{ExecError, ExecOutcome, ShellSubstrate, Substrate};
 use yamlkit::doc::content_hash;
 use yamlkit::PreparedDoc;
 
@@ -102,17 +107,33 @@ fn taxonomy_jobs(tag: &str, dataset: &Dataset) -> Vec<Job> {
     jobs
 }
 
-fn all_jobs() -> Vec<Job> {
-    let mut jobs = grid_jobs();
-    jobs.extend(taxonomy_jobs("taxonomy", &Dataset::generate()));
-    jobs.extend(taxonomy_jobs("extended", &Dataset::generate_extended(100)));
-    jobs
+/// The whole corpus, built once per test binary.
+fn all_jobs() -> &'static [Job] {
+    static JOBS: OnceLock<Vec<Job>> = OnceLock::new();
+    JOBS.get_or_init(|| {
+        let mut jobs = grid_jobs();
+        jobs.extend(taxonomy_jobs("taxonomy", &Dataset::generate()));
+        jobs.extend(taxonomy_jobs("extended", &Dataset::generate_extended(100)));
+        jobs
+    })
+}
+
+type ExecResult = Result<ExecOutcome, ExecError>;
+
+/// The parse-once entry point the executor uses.
+fn execute_prepared(job: &Job) -> ExecResult {
+    let doc = PreparedDoc::shared(job.candidate.as_str());
+    ShellSubstrate::new().execute_prepared(&doc, &job.script)
+}
+
+/// The text entry point: every layer parses the candidate itself.
+fn execute_text(job: &Job) -> ExecResult {
+    ShellSubstrate::new().execute(&job.candidate, &job.script)
 }
 
 /// `id  passed  simulated_ms  digest`, tab-separated.
-fn fixture_line(job: &Job) -> String {
-    let doc = PreparedDoc::shared(job.candidate.as_str());
-    let result = ShellSubstrate::new().execute_prepared(&doc, &job.script);
+fn fixture_line(job: &Job, execute: fn(&Job) -> ExecResult) -> String {
+    let result = execute(job);
     let (passed, simulated_ms) = match &result {
         Ok(outcome) => (outcome.passed, outcome.simulated_ms),
         Err(_) => (false, 0),
@@ -122,13 +143,19 @@ fn fixture_line(job: &Job) -> String {
 }
 
 /// Fixture lines for every job, in job order.
-fn run_all() -> Vec<String> {
+fn run_all(execute: fn(&Job) -> ExecResult) -> Vec<String> {
     let jobs = all_jobs();
     let chunk = jobs.len().div_ceil(WORKERS);
     std::thread::scope(|scope| {
         let handles: Vec<_> = jobs
             .chunks(chunk)
-            .map(|part| scope.spawn(move || part.iter().map(fixture_line).collect::<Vec<_>>()))
+            .map(|part| {
+                scope.spawn(move || {
+                    part.iter()
+                        .map(|job| fixture_line(job, execute))
+                        .collect::<Vec<_>>()
+                })
+            })
             .collect();
         handles
             .into_iter()
@@ -141,11 +168,9 @@ fn fixture_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(FIXTURE)
 }
 
-#[test]
-fn substrate_results_match_golden_fixture() {
+fn assert_matches_fixture(actual: &[String]) {
     let expected = std::fs::read_to_string(fixture_path()).expect("golden fixture is checked in");
     let expected: Vec<&str> = expected.lines().collect();
-    let actual = run_all();
     assert_eq!(
         actual.len(),
         expected.len(),
@@ -153,7 +178,7 @@ fn substrate_results_match_golden_fixture() {
     );
     let mismatches: Vec<(&str, &str)> = expected
         .iter()
-        .zip(&actual)
+        .zip(actual)
         .filter(|(e, a)| **e != a.as_str())
         .map(|(e, a)| (*e, a.as_str()))
         .collect();
@@ -167,9 +192,19 @@ fn substrate_results_match_golden_fixture() {
 }
 
 #[test]
+fn substrate_results_match_golden_fixture() {
+    assert_matches_fixture(&run_all(execute_prepared));
+}
+
+#[test]
+fn text_entry_point_matches_golden_fixture() {
+    assert_matches_fixture(&run_all(execute_text));
+}
+
+#[test]
 #[ignore = "rewrites the golden fixture; run only to re-pin an intended behaviour change"]
 fn regenerate_golden_fixture() {
     let path = fixture_path();
     std::fs::create_dir_all(path.parent().expect("fixture has a directory")).unwrap();
-    std::fs::write(&path, run_all().join("\n") + "\n").unwrap();
+    std::fs::write(&path, run_all(execute_prepared).join("\n") + "\n").unwrap();
 }

@@ -1,7 +1,6 @@
-//! The streaming execution engine against the batch engines: verdict
-//! agreement under mixed pass/fail workloads, in-flight deduplication,
-//! skewed arrival pacing, and skewed per-job durations on the sharded
-//! scheduler it shares result-ordering semantics with.
+//! The streaming execution engine against its batch collector: verdict
+//! agreement under mixed pass/fail workloads, in-flight deduplication and
+//! skewed arrival pacing.
 
 use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
@@ -9,22 +8,15 @@ use std::time::Duration;
 
 use evalcluster::executor::{run_jobs, run_jobs_stream, JobResult, UnitTestJob};
 use evalcluster::memo::ScoreMemo;
-use evalcluster::shard::run_sharded;
 
 fn sample_jobs(n: usize) -> Vec<UnitTestJob> {
     let script = "kubectl apply -f labeled_code.yaml\nkubectl wait --for=condition=Ready pod -l app=t --timeout=60s && echo unit_test_passed";
     (0..n)
         .map(|i| {
-            // Alternate text and parse-once candidates so the stream
-            // engine is exercised on both representations.
             let yaml = format!(
                 "apiVersion: v1\nkind: Pod\nmetadata:\n  name: web-{i}\n  labels:\n    app: t\nspec:\n  containers:\n  - name: c\n    image: nginx\n"
             );
-            if i % 2 == 0 {
-                UnitTestJob::new(format!("p{i}"), script, yaml)
-            } else {
-                UnitTestJob::prepared(format!("p{i}"), script, yamlkit::PreparedDoc::shared(yaml))
-            }
+            UnitTestJob::new(format!("p{i}"), script, yaml)
         })
         .collect()
 }
@@ -72,11 +64,7 @@ fn stream_agrees_with_batch_engine_on_mixed_verdicts() {
         jobs[3].script.clone(),
         "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: x\n",
     );
-    jobs[11] = UnitTestJob::prepared(
-        "p11",
-        jobs[11].script.clone(),
-        yamlkit::PreparedDoc::shared("not yaml {{{"),
-    );
+    jobs[11] = UnitTestJob::new("p11", jobs[11].script.clone(), "not yaml {{{");
     let batch = run_jobs(&jobs, 4);
     let (streamed, stats) = stream_all(&jobs, 4, &ScoreMemo::new(), None);
     assert_eq!(streamed.len(), batch.results.len());
@@ -127,31 +115,4 @@ fn stream_survives_skewed_arrival_pacing() {
         assert_eq!(a.passed, b.passed);
         assert_eq!(a.simulated_ms, b.simulated_ms);
     }
-}
-
-#[test]
-fn sharded_scheduler_keeps_order_under_heavily_skewed_durations() {
-    // Deliberately adversarial duration skew: the first shard's jobs are
-    // ~20x slower than the rest. Work stealing must rebalance, and the
-    // result vector must still come back in exact job-index order.
-    let (results, stats) = run_sharded(96, 8, |worker, idx| {
-        let millis = if idx < 12 { 4 } else { 0 };
-        std::thread::sleep(Duration::from_millis(millis));
-        (worker, idx)
-    });
-    assert_eq!(results.len(), 96);
-    for (i, (_, idx)) in results.iter().enumerate() {
-        assert_eq!(*idx, i, "result {i} out of order");
-    }
-    assert!(
-        stats.stolen > 0,
-        "no steals despite a 20x skewed shard: {stats:?}"
-    );
-    // The slow jobs must not all have been served by their home worker.
-    let slow_workers: std::collections::HashSet<usize> =
-        results[..12].iter().map(|(w, _)| *w).collect();
-    assert!(
-        slow_workers.len() >= 2,
-        "skewed shard was not rebalanced: {slow_workers:?}"
-    );
 }
