@@ -39,6 +39,7 @@
 
 pub mod corrupt;
 pub mod difficulty;
+mod index;
 mod model;
 mod postprocess;
 pub mod profiles;

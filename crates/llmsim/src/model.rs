@@ -8,7 +8,6 @@
 //! scoring, unit testing — therefore runs exactly as it would against a
 //! remote API.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -18,6 +17,7 @@ use cedataset::{Dataset, Problem, Variant};
 
 use crate::corrupt::{answer_seed, realize, AnswerCategory};
 use crate::difficulty::{calibrate_alpha, dataset_difficulties, pass_probability};
+use crate::index::DescriptionIndex;
 use crate::profiles::ModelProfile;
 use crate::repair::{parse_repair_prompt, ParsedRepair};
 use substrate::taxonomy::Bucket;
@@ -74,30 +74,43 @@ pub struct SimulatedModel {
     profile: ModelProfile,
     dataset: Arc<Dataset>,
     difficulties: Vec<f64>,
-    /// α per (variant, shots), calibrated lazily at construction for the
-    /// shot counts the benchmark uses (0–3).
-    alphas: HashMap<(Variant, usize), f64>,
+    /// α per variant (in [`Variant::ALL`] order) and shot count 0–3,
+    /// calibrated at construction.
+    alphas: [[f64; 4]; 3],
+    /// Every problem's three descriptions; entry `3·problem + variant`.
+    descriptions: DescriptionIndex,
+    /// The `llm_generation_us{model=...}` histogram.
+    generation_us: obs::Histogram,
 }
 
 impl SimulatedModel {
     /// Builds a simulated model over a dataset.
     pub fn new(profile: ModelProfile, dataset: Arc<Dataset>) -> SimulatedModel {
         let difficulties = dataset_difficulties(&dataset, profile.tier);
-        let mut alphas = HashMap::new();
-        for variant in Variant::ALL {
-            for shots in 0..=3 {
-                let alpha = match profile.target_passes(variant, shots) {
-                    Some(t) if t > 0 => calibrate_alpha(&difficulties, t),
-                    _ => f64::NEG_INFINITY,
-                };
-                alphas.insert((variant, shots), alpha);
-            }
-        }
+        let alphas = Variant::ALL.map(|variant| {
+            std::array::from_fn(|shots| match profile.target_passes(variant, shots) {
+                Some(t) if t > 0 => calibrate_alpha(&difficulties, t),
+                _ => f64::NEG_INFINITY,
+            })
+        });
+        let descriptions = DescriptionIndex::new(
+            dataset
+                .problems()
+                .iter()
+                .flat_map(|p| Variant::ALL.map(|v| p.description_for(v))),
+        );
+        let generation_us = obs::global().histogram(
+            "llm_generation_us",
+            &[("model", profile.name)],
+            "wall-clock latency of one simulated-model generation",
+        );
         SimulatedModel {
             profile,
             dataset,
             difficulties,
             alphas,
+            descriptions,
+            generation_us,
         }
     }
 
@@ -106,36 +119,33 @@ impl SimulatedModel {
         &self.profile
     }
 
-    /// Pass probability for a problem index under a variant/shots setting.
-    pub fn pass_probability(&self, problem_index: usize, variant: Variant, shots: usize) -> f64 {
-        let alpha = self
-            .alphas
-            .get(&(variant, shots))
+    /// Calibrated α for a variant/shots setting; `-∞` (never passes)
+    /// beyond the calibrated shot counts.
+    fn alpha(&self, variant: Variant, shots: usize) -> f64 {
+        self.alphas[variant as usize]
+            .get(shots)
             .copied()
-            .unwrap_or(f64::NEG_INFINITY);
-        pass_probability(alpha, self.difficulties[problem_index])
+            .unwrap_or(f64::NEG_INFINITY)
     }
 
-    /// Identifies (problem, variant, shots) from prompt text: the prompt
-    /// embeds one of the three per-variant descriptions, and each few-shot
-    /// exemplar adds an `Example question:` header.
+    /// Pass probability for a problem index under a variant/shots setting.
+    pub fn pass_probability(&self, problem_index: usize, variant: Variant, shots: usize) -> f64 {
+        pass_probability(self.alpha(variant, shots), self.difficulties[problem_index])
+    }
+
+    /// Identifies (problem, variant, shots) from prompt text. The prompt
+    /// embeds one of the problems' per-variant descriptions: the longest
+    /// description it contains wins (so a description that is a prefix of
+    /// another never shadows it), and equal lengths go to the first in
+    /// (problem, variant) order. Each few-shot exemplar adds an
+    /// `Example question:` header. One pass over the prompt through the
+    /// [`DescriptionIndex`] built at construction.
     fn identify<'d>(&'d self, prompt: &str) -> Option<(usize, &'d Problem, Variant, usize)> {
         let shots = prompt.matches("Example question:").count().min(3);
-        // The question body is the suffix after the last exemplar, so scan
-        // descriptions longest-first to avoid prefix collisions.
-        let mut best: Option<(usize, &Problem, Variant, usize)> = None;
-        for (idx, p) in self.dataset.problems().iter().enumerate() {
-            for variant in Variant::ALL {
-                let d = p.description_for(variant);
-                if !d.is_empty() && prompt.contains(d) {
-                    let len = d.len();
-                    if best.map(|(_, _, _, l)| len > l).unwrap_or(true) {
-                        best = Some((idx, p, variant, len));
-                    }
-                }
-            }
-        }
-        best.map(|(i, p, v, _)| (i, p, v, shots))
+        let entry = self.descriptions.longest_in(prompt)?;
+        let idx = entry / Variant::ALL.len();
+        let variant = Variant::ALL[entry % Variant::ALL.len()];
+        Some((idx, &self.dataset.problems()[idx], variant, shots))
     }
 
     /// Draws the answer category via **systematic sampling**: problems are
@@ -163,13 +173,14 @@ impl SimulatedModel {
         let b = (group_seed >> 32) % n;
         let pos = |j: u64| -> u64 { (a * j + b) % n };
         let my_pos = pos(problem_index as u64);
+        let alpha = self.alpha(variant, shots);
         let mut c_lo = 0.0f64;
         for j in 0..n {
             if pos(j) < my_pos {
-                c_lo += self.pass_probability(j as usize, variant, shots);
+                c_lo += pass_probability(alpha, self.difficulties[j as usize]);
             }
         }
-        let p = self.pass_probability(problem_index, variant, shots);
+        let p = pass_probability(alpha, self.difficulties[problem_index]);
         // Temperature jitter scales the effective ability window by up to
         // ±TEMPERATURE_JITTER; over k samples only the best draw matters,
         // so pass@k saturates at ≈(1 + TEMPERATURE_JITTER)·pass@1 — the
@@ -273,13 +284,7 @@ impl LanguageModel for SimulatedModel {
     fn generate(&self, prompt: &str, params: &GenParams) -> String {
         let started = std::time::Instant::now();
         let text = self.generate_text(prompt, params);
-        obs::global()
-            .histogram(
-                "llm_generation_us",
-                &[("model", self.profile.name)],
-                "wall-clock latency of one simulated-model generation",
-            )
-            .record(started.elapsed());
+        self.generation_us.record(started.elapsed());
         text
     }
 }
@@ -299,7 +304,7 @@ impl SimulatedModel {
             return self.generate_repair(problem, variant, &repair);
         }
         // PaLM-2's API is English-only at submission time (Table 4 note).
-        if self.alphas.get(&(variant, shots)).copied() == Some(f64::NEG_INFINITY)
+        if self.alpha(variant, shots) == f64::NEG_INFINITY
             && variant == Variant::Translated
             && self.profile.passes_translated.is_none()
         {
@@ -362,6 +367,131 @@ mod tests {
     fn gpt4() -> SimulatedModel {
         let ds = Arc::new(Dataset::generate());
         SimulatedModel::new(ModelProfile::by_name("gpt-4").unwrap(), ds)
+    }
+
+    /// The linear-scan oracle for [`SimulatedModel::identify`]: every
+    /// description is tested with `contains`, and a strictly longer match
+    /// replaces the best so far.
+    fn identify_by_scan<'d>(
+        m: &'d SimulatedModel,
+        prompt: &str,
+    ) -> Option<(usize, &'d Problem, Variant, usize)> {
+        let shots = prompt.matches("Example question:").count().min(3);
+        let mut best: Option<(usize, &Problem, Variant, usize)> = None;
+        for (idx, p) in m.dataset.problems().iter().enumerate() {
+            for variant in Variant::ALL {
+                let d = p.description_for(variant);
+                if !d.is_empty() && prompt.contains(d) {
+                    let len = d.len();
+                    if best.map(|(_, _, _, l)| len > l).unwrap_or(true) {
+                        best = Some((idx, p, variant, len));
+                    }
+                }
+            }
+        }
+        best.map(|(i, p, v, _)| (i, p, v, shots))
+    }
+
+    /// `description` minus its last byte, or minus its last character
+    /// where that byte is not a character of its own.
+    fn without_last_byte(description: &str) -> &str {
+        let mut cut = description.len() - 1;
+        while !description.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        &description[..cut]
+    }
+
+    /// Every prompt shape generation sees, plus the adversarial ones:
+    /// all (problem, variant, shots 0..=3) prompts, a repair prompt per
+    /// problem and variant, two problem bodies back to back, bodies whose
+    /// description lost its last byte, and an unrelated prompt.
+    fn identification_corpus(ds: &Dataset) -> Vec<String> {
+        let problems = ds.problems();
+        let mut prompts = vec!["What is the weather like?".to_owned()];
+        for (i, p) in problems.iter().enumerate() {
+            let next = &problems[(i + 1) % problems.len()];
+            for variant in Variant::ALL {
+                let body = p.prompt_body(variant);
+                prompts.extend((0..=3).map(|shots| build_prompt(&body, shots)));
+                prompts.push(crate::repair_prompt(
+                    &body,
+                    &p.clean_reference(),
+                    "error bucket: schema-violation",
+                    1,
+                ));
+                prompts.push(build_prompt(
+                    &format!("{body}\n{}", next.prompt_body(variant)),
+                    0,
+                ));
+                let d = p.description_for(variant);
+                let cut = format!("{}{}", without_last_byte(d), &body[d.len()..]);
+                prompts.push(build_prompt(&cut, 0));
+            }
+        }
+        prompts
+    }
+
+    fn assert_index_matches_scan(ds: Dataset) {
+        let m = SimulatedModel::new(ModelProfile::by_name("gpt-4").unwrap(), Arc::new(ds));
+        let prompts = identification_corpus(&m.dataset);
+        let chunk = prompts.len().div_ceil(2);
+        let mismatches: Vec<&String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = prompts
+                .chunks(chunk)
+                .map(|part| {
+                    let m = &m;
+                    scope.spawn(move || {
+                        part.iter()
+                            .filter(|prompt| {
+                                let key = |r: Option<(usize, &Problem, Variant, usize)>| {
+                                    r.map(|(i, _, v, s)| (i, v, s))
+                                };
+                                key(m.identify(prompt)) != key(identify_by_scan(m, prompt))
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("oracle worker panicked"))
+                .collect()
+        });
+        assert!(
+            mismatches.is_empty(),
+            "{} of {} prompts identified differently from the scan; first: {:?}",
+            mismatches.len(),
+            prompts.len(),
+            mismatches.first()
+        );
+    }
+
+    #[test]
+    fn index_identifies_like_the_linear_scan() {
+        assert_index_matches_scan(Dataset::generate());
+    }
+
+    #[test]
+    fn index_identifies_like_the_linear_scan_on_the_extended_dataset() {
+        assert_index_matches_scan(Dataset::generate_extended(100));
+    }
+
+    #[test]
+    fn a_truncated_description_is_not_identified_as_itself() {
+        let m = gpt4();
+        let p = &m.dataset.problems()[5];
+        let d = p.description_for(Variant::Original);
+        let prompt = build_prompt(without_last_byte(d), 0);
+        let found = m.identify(&prompt).map(|(i, _, v, _)| (i, v));
+        assert_ne!(found, Some((5, Variant::Original)));
+    }
+
+    #[test]
+    fn pass_probability_is_zero_beyond_calibrated_shots() {
+        let m = gpt4();
+        assert!(m.pass_probability(0, Variant::Original, 3) > 0.0);
+        assert_eq!(m.pass_probability(0, Variant::Original, 4), 0.0);
     }
 
     #[test]
