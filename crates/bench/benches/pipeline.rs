@@ -1,12 +1,12 @@
 //! The `pipeline_engine` bench group: the barriered seed evaluation
-//! driver vs the streaming stage-graph driver on the
-//! (model × problem × variant) grid.
+//! driver vs the streaming driver on the (model × problem × variant)
+//! grid.
 //!
 //! Both drivers run with run-local memos (no shared cache) so the
 //! numbers measure scheduling — phase barriers + serial main-thread
-//! scoring vs overlapped generation / extraction / scoring / substrate
-//! execution. CI runs this group with `CRITERION_JSON=BENCH_pipeline.json`
-//! to record the trajectory.
+//! scoring vs one generation pool that extracts and scores in line while
+//! the substrate pool executes. CI runs this group with
+//! `CRITERION_JSON=BENCH_pipeline.json` to record the trajectory.
 
 use std::sync::Arc;
 
@@ -28,12 +28,13 @@ fn grid_models(dataset: &Arc<Dataset>) -> Vec<SimulatedModel> {
 /// generation regimes:
 ///
 /// * `grid` — instant generation (pure simulation speed). CPU-bound: the
-///   stage-graph wins by parallelizing the phases the seed ran serially,
-///   so the margin tracks the machine's core count.
+///   streaming driver wins by scoring on every generation worker beside
+///   the substrate pool, where the barriered driver scores serially after
+///   every phase, so the margin tracks the machine's core count.
 /// * `remote-grid` — the paper's regime: each request really occupies
-///   its query worker for a service latency. The stage-graph fills that
-///   idle wire time with scoring and substrate execution, so it wins on
-///   any machine — including single-core CI runners.
+///   its query worker for a service latency. The streaming driver can
+///   run the substrate pool during that idle wire time; the barriered
+///   one waits for every response first.
 fn bench_pipeline_engine(c: &mut Criterion) {
     let dataset = Arc::new(Dataset::generate());
     let models = grid_models(&dataset);
@@ -76,8 +77,8 @@ fn bench_pipeline_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// Worker-scaling of the streamed driver alone: the stage-graph should
-/// keep winning as the pool grows instead of serializing on a phase.
+/// Worker-scaling of the streamed driver alone: wall-clock should fall
+/// as the pools grow instead of serializing on a phase.
 fn bench_streamed_scaling(c: &mut Criterion) {
     let dataset = Arc::new(Dataset::generate());
     let model = SimulatedModel::new(

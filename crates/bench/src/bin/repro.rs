@@ -19,8 +19,6 @@
 //! * `--variants LIST` — comma-separated subset of
 //!   `original,simplified,translated` used by the `grid` and `pipeline`
 //!   targets (default: all three);
-//! * `--channel-bound N` — inter-stage channel depth of the streaming
-//!   stage-graph driver (default 128), used by the `pipeline` target;
 //! * `--live-latency MS` — per-request wall-clock latency of the
 //!   `pipeline` target's remote-generation section (default 15 ms);
 //! * `--rounds N` — repair rounds after the first attempt (default 2),
@@ -39,7 +37,6 @@ fn main() {
     let mut stride = 1usize;
     let mut workers = cloudeval_core::harness::default_workers();
     let mut variants: Vec<Variant> = Variant::ALL.to_vec();
-    let mut channel_bound = cloudeval_core::pipeline::DEFAULT_CHANNEL_BOUND;
     let mut live_latency_ms = 15u64;
     let mut port = 0u16;
     let mut requests = 200usize;
@@ -71,14 +68,6 @@ fn main() {
                 i += 1;
                 variants = parse_variants(args.get(i).map(String::as_str).unwrap_or(""))
                     .unwrap_or_else(|bad| die(&format!("unknown variant {bad:?}")));
-            }
-            "--channel-bound" => {
-                i += 1;
-                channel_bound = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|b| *b > 0)
-                    .unwrap_or_else(|| die("--channel-bound needs a positive integer"));
             }
             "--live-latency" => {
                 i += 1;
@@ -201,11 +190,9 @@ fn main() {
             "grid" => context(&mut experiments, stride, workers).grid(&variants),
             "trace" => context(&mut experiments, stride, workers).trace(&variants),
             "repair" => context(&mut experiments, stride, workers).repair(rounds, feedback),
-            "pipeline" => context(&mut experiments, stride, workers).pipeline(
-                &variants,
-                channel_bound,
-                live_latency_ms,
-            ),
+            "pipeline" => {
+                context(&mut experiments, stride, workers).pipeline(&variants, live_latency_ms)
+            }
             other => {
                 eprintln!("unknown target {other:?} (see --help)");
                 continue;
@@ -244,7 +231,7 @@ fn parse_variants(list: &str) -> Result<Vec<Variant>, String> {
 
 fn print_usage() {
     eprintln!(
-        "usage: repro [--stride N] [--workers N] [--variants LIST] [--channel-bound N] [--live-latency MS] [--rounds N] [--feedback full|bucket-only|none] [--port N] [--requests N] [--clients N] [--conns N] [--memo PATH] <target>..."
+        "usage: repro [--stride N] [--workers N] [--variants LIST] [--live-latency MS] [--rounds N] [--feedback full|bucket-only|none] [--port N] [--requests N] [--clients N] [--conns N] [--memo PATH] <target>..."
     );
     eprintln!("targets: {} | all | bench", ALL_TARGETS.join(" | "));
     eprintln!("parse: legacy-vs-arena YAML parse A/B with 1.5x verdict");
@@ -252,7 +239,6 @@ fn print_usage() {
     eprintln!("bench: run every criterion engine group, refreshing BENCH_*.json at the repo root (not part of `all`)");
     eprintln!("variants: original,simplified,translated (grid/trace/pipeline targets)");
     eprintln!("trace: per-stage time breakdown of one grid run from the obs layer, plus one repair attempt's span tree");
-    eprintln!("channel-bound: stage-graph backpressure depth (pipeline target)");
     eprintln!("rounds/feedback: fail-learn-refine loop knobs (repair target)");
     eprintln!("port/requests/clients/memo: benchmark-as-a-service knobs (serve target)");
     eprintln!("conns: keep-alive connections per client thread (serve target)");

@@ -4,15 +4,15 @@
 //! Two drivers share one record vocabulary and produce **identical
 //! output**:
 //!
-//! * [`evaluate`] — the streaming stage-graph driver: generation
-//!   ([`llmsim::query_stream`]), `extract_yaml` post-processing, static
-//!   scoring ([`cescore::score_pair_prepared`] on its own worker pool,
-//!   off the main thread) and substrate execution
-//!   ([`evalcluster::run_jobs_stream`]) all run **concurrently**, records
-//!   flowing between stages over bounded channels
-//!   ([`crate::pipeline`]). Wall-clock tracks the slowest record chain,
-//!   not the slowest phase. Each candidate is parsed once into a
-//!   [`PreparedDoc`] that the scorer and the unit-test job share.
+//! * [`evaluate`] — the streaming driver: two pools run
+//!   **concurrently**. Each generation worker ([`llmsim::query_stream`])
+//!   runs `extract_yaml` post-processing and static scoring
+//!   ([`cescore::score_pair_prepared`]) in line on the response it just
+//!   generated, and feeds the unit-test job to the substrate pool
+//!   ([`evalcluster::run_jobs_stream`]) over one bounded channel.
+//!   Wall-clock tracks the slowest record chain, not the slowest phase.
+//!   Each candidate is parsed once into a [`PreparedDoc`] that the scorer
+//!   and the unit-test job share.
 //! * [`evaluate_barriered`] — the seed phase-barrier driver (all prompts,
 //!   then all extractions, then all unit tests, then serial scoring
 //!   through [`cescore::score_pair_text`]), kept as the reference
@@ -22,8 +22,9 @@
 //! extracted YAML for the same unit test scores once) and honor
 //! [`EvalOptions::memo`] so verdicts carry across runs.
 
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::sync_channel;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 use cedataset::{Category, Dataset, Problem, Variant};
 use cescore::{
@@ -36,8 +37,6 @@ use llmsim::{
     SimulatedModel,
 };
 use obs::{Span, TraceId};
-
-use crate::pipeline::{Pipeline, Stage, DEFAULT_CHANNEL_BOUND};
 
 /// Default unit-test worker count: one per available hardware thread,
 /// clamped to `[2, 32]`.
@@ -98,14 +97,13 @@ pub struct EvalOptions {
     /// the run; supply one `Arc<ScoreMemo>` across runs to carry verdicts
     /// over a whole grid or pass@k sweep.
     pub memo: Option<Arc<ScoreMemo>>,
-    /// Bound of every inter-stage channel in the streaming driver
-    /// (backpressure depth; ignored by [`evaluate_barriered`]).
-    pub channel_bound: usize,
     /// When `Some(ms)`, generation runs in the latency-realistic remote
     /// regime: each request really occupies its query worker for `ms` of
     /// wall-clock ([`QueryConfig::live_latency`]), as a remote API would.
-    /// Applied identically by both drivers (so comparisons stay fair);
-    /// `None` (the default) generates at pure simulation speed.
+    /// Honoured by [`evaluate`] and [`evaluate_barriered`] alike (so their
+    /// comparisons stay fair); the repair drivers ([`evaluate_repair`],
+    /// [`evaluate_repair_barriered`]) call the model directly and ignore
+    /// it. `None` (the default) generates at pure simulation speed.
     pub live_latency_ms: Option<u64>,
     /// Shared prepared-reference cache. `None` (the default) uses a
     /// run-local cache — each reference still parses at most once within
@@ -123,7 +121,6 @@ impl Default for EvalOptions {
             workers: default_workers(),
             stride: 1,
             memo: None,
-            channel_bound: DEFAULT_CHANNEL_BOUND,
             live_latency_ms: None,
             refs: None,
         }
@@ -217,76 +214,34 @@ fn assemble_record(
     }
 }
 
-/// §3.1 post-processing as a pipeline stage: raw model output in,
-/// extracted YAML out.
-struct ExtractStage {
-    workers: usize,
+/// Bound of the job channel between a driver's CPU pool and its
+/// substrate stage ([`run_jobs_stream`]): deep enough to absorb jitter
+/// between the two pools, shallow enough that a stalled substrate
+/// backpressures the CPU pool within a few hundred records instead of
+/// buffering a whole grid.
+const JOB_CHANNEL_BOUND: usize = 128;
+
+/// The global `stage_service_us{stage=…}` histogram of one of
+/// [`evaluate`]'s in-line stages, resolved once per call so the query
+/// workers record lock-free.
+fn stage_service(stage: &'static str) -> obs::Histogram {
+    obs::global().histogram(
+        "stage_service_us",
+        &[("stage", stage)],
+        "time a worker spent processing one record in one stage",
+    )
 }
 
-impl Stage for ExtractStage {
-    type In = String;
-    type Out = String;
-    fn name(&self) -> &'static str {
-        "extract"
-    }
-    fn workers(&self) -> usize {
-        self.workers
-    }
-    fn process(&self, _index: usize, raw: String) -> String {
-        extract_yaml(&raw)
-    }
-}
-
-/// Static scoring as a pipeline stage: extracted YAML in, `(yaml, static
-/// scores)` out — scoring runs on this stage's pool, off the main
-/// thread. As a side effect each record's unit-test job is forwarded to
-/// the substrate execution pool the moment the YAML is known, so cloud
-/// evaluation overlaps scoring *and* generation.
+/// Runs the full pipeline for one model — the streaming driver.
 ///
-/// This is where the candidate's one-and-only parse happens: the
-/// [`PreparedDoc`] built here is shared by `Arc` with the substrate job,
-/// and the reference comes pre-parsed from the [`RefCache`].
-struct ScoreStage<'a> {
-    coords: &'a [(&'a Problem, Variant)],
-    refs: &'a RefCache,
-    jobs: SyncSender<(usize, UnitTestJob)>,
-    workers: usize,
-}
-
-impl Stage for ScoreStage<'_> {
-    type In = String;
-    type Out = (String, Scores);
-    fn name(&self) -> &'static str {
-        "score"
-    }
-    fn workers(&self) -> usize {
-        self.workers
-    }
-    fn process(&self, index: usize, yaml: String) -> (String, Scores) {
-        let (problem, variant) = self.coords[index];
-        let problem_id = format!("{}@{variant:?}", problem.id);
-        // Dispatch before scoring: the substrate pool starts while this
-        // thread computes BLEU/edit-distance/kv metrics. A send error
-        // means the execution pool is gone; the collector will flag the
-        // missing verdict.
-        let doc = PreparedDoc::shared(yaml);
-        let job = UnitTestJob::prepared(problem_id, problem.unit_test.clone(), Arc::clone(&doc));
-        let _ = self.jobs.send((index, job));
-        let reference = self.refs.prepare(&problem.labeled_reference);
-        // Stage workers are long-lived pool threads, so the thread-local
-        // kernel scratch inside score_pair_prepared is reused across
-        // every record this worker scores.
-        let scores = score_pair_prepared(&reference, &doc);
-        (doc.text().to_owned(), scores)
-    }
-}
-
-/// Runs the full pipeline for one model — the streaming stage-graph
-/// driver.
-///
-/// Output is record-for-record identical to [`evaluate_barriered`] (same
-/// `EvalRecord`s in the same order) for any worker count, stride or
-/// channel bound; only the schedule differs. See the
+/// One pool does the CPU work: each [`llmsim::query_stream`] worker
+/// extracts the YAML of the response it just generated, parses it once
+/// into a [`PreparedDoc`], hands the unit-test job to the substrate pool
+/// ([`run_jobs_stream`]) over one bounded channel, and then computes the
+/// static metrics while the substrate runs. Records are reassembled by
+/// index, so output is record-for-record identical to
+/// [`evaluate_barriered`] (same `EvalRecord`s in the same order) for any
+/// worker count or stride; only the schedule differs. See the
 /// `pipeline_determinism` test suite for the property-based proof.
 pub fn evaluate(
     model: &SimulatedModel,
@@ -300,72 +255,65 @@ pub fn evaluate(
     let memo = options.memo_or(&local_memo);
     let local_refs = RefCache::new();
     let refs = options.refs_or(&local_refs);
-    let bound = options.channel_bound.max(1);
+    let extract_us = stage_service("extract");
+    let score_us = stage_service("score");
 
-    let verdicts: Mutex<Vec<Option<bool>>> = Mutex::new(vec![None; n]);
-    let (job_tx, job_rx) = sync_channel::<(usize, UnitTestJob)>(bound);
-    let statics: Vec<(String, Scores)> = std::thread::scope(|scope| {
-        // Substrate execution pool: consumes jobs as scoring emits them.
+    // Per-index slots: statics written by the query pool, verdicts by the
+    // substrate pool's callback.
+    let statics: Vec<OnceLock<(String, Scores)>> = (0..n).map(|_| OnceLock::new()).collect();
+    let verdicts: Vec<OnceLock<bool>> = (0..n).map(|_| OnceLock::new()).collect();
+    let (job_tx, job_rx) = sync_channel::<(usize, UnitTestJob)>(JOB_CHANNEL_BOUND);
+    std::thread::scope(|scope| {
         let verdicts = &verdicts;
         scope.spawn(move || {
             run_jobs_stream(job_rx, workers, memo, |index, result| {
-                verdicts.lock().expect("verdict slots poisoned")[index] = Some(result.passed);
+                let _ = verdicts[index].set(result.passed);
             });
         });
-        // Post-processing + static scoring stages. Extraction is cheap
-        // string peeling — a quarter of the pool suffices; scoring is the
-        // static-metric hot path and gets the full width. Both are pure
-        // CPU, so their pools are additionally capped at the hardware
-        // width: threads beyond the core count only add context switches
-        // (generation and substrate pools keep the requested width — the
-        // former idles on live request latency, the latter is the
-        // user-facing `workers` contract).
-        let hw = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(workers);
-        let pipeline = Pipeline::new(ExtractStage {
-            workers: workers.div_ceil(4).min(hw).max(1),
-        })
-        .then(ScoreStage {
-            coords: &coords,
-            refs,
-            jobs: job_tx,
-            workers: workers.min(hw).max(1),
-        })
-        .channel_bound(bound);
-        // Generation feeds the graph: query_stream's worker pool emits
-        // each response the moment it completes.
-        let statics = pipeline.run_fed(n, |feed| {
-            let feed = Mutex::new(feed);
-            llmsim::query_stream(
-                model,
-                &prompts,
-                &options.params,
-                &options.query_config(),
-                |index, response| {
-                    // A send error means the pipeline tore down early;
-                    // the collector accounts for the missing record.
-                    let _ = feed
-                        .lock()
-                        .expect("feed sender poisoned")
-                        .send((index, response));
-                },
-            );
-        });
-        // `pipeline` (and with it the ScoreStage's job sender) drops
-        // here, disconnecting the stream engine so the spawned execution
-        // pool drains and joins at scope exit.
-        drop(pipeline);
-        statics
+        llmsim::query_stream(
+            model,
+            &prompts,
+            &options.params,
+            &options.query_config(),
+            |index, raw| {
+                let (problem, variant) = coords[index];
+                let started = Instant::now();
+                let doc = PreparedDoc::shared(extract_yaml(&raw));
+                extract_us.record(started.elapsed());
+                // Dispatch before scoring so the substrate pool runs while
+                // this worker computes the static metrics. A send error
+                // means the substrate pool is gone; reassembly flags the
+                // missing verdict.
+                let job = UnitTestJob::prepared(
+                    format!("{}@{variant:?}", problem.id),
+                    problem.unit_test.clone(),
+                    Arc::clone(&doc),
+                );
+                let _ = job_tx.send((index, job));
+                let started = Instant::now();
+                let reference = refs.prepare(&problem.labeled_reference);
+                // Query workers live for the whole call, so the
+                // thread-local kernel scratch inside score_pair_prepared
+                // is reused across every record a worker scores.
+                let scores = score_pair_prepared(&reference, &doc);
+                score_us.record(started.elapsed());
+                let _ = statics[index].set((doc.text().to_owned(), scores));
+            },
+        );
+        // Every record is dispatched: disconnect the job channel so the
+        // substrate pool drains and joins at scope exit.
+        drop(job_tx);
     });
 
-    let verdicts = verdicts.into_inner().expect("verdict slots poisoned");
     coords
         .into_iter()
         .zip(statics)
         .zip(verdicts)
-        .map(|(((problem, variant), (yaml, scores)), passed)| {
-            let passed = passed.expect("substrate pool dropped a verdict");
+        .map(|(((problem, variant), statics), passed)| {
+            let (yaml, scores) = statics.into_inner().expect("query pool dropped a record");
+            let passed = passed
+                .into_inner()
+                .expect("substrate pool dropped a verdict");
             // Cache hit: the reference was prepared during scoring.
             let reference = refs.prepare(&problem.labeled_reference);
             let clean = reference.clean_text();
@@ -384,7 +332,7 @@ pub fn evaluate(
 /// (the `pipeline_determinism` suite proves record equality, which also
 /// certifies parse-once scoring against the text scorer), and
 /// as the baseline the `pipeline_engine` bench group and `repro
-/// pipeline` measure the stage-graph against.
+/// pipeline` measure the streaming driver against.
 pub fn evaluate_barriered(
     model: &SimulatedModel,
     dataset: &Dataset,
@@ -551,7 +499,7 @@ fn repair_job(
     }
 }
 
-/// Runs the fail–learn–refine loop on the streaming stage graph: every
+/// Runs the fail–learn–refine loop as a stream: every
 /// coordinate's first attempt flows through generation → extraction →
 /// static scoring → substrate execution exactly as in [`evaluate`], and a
 /// failing verdict below the round cap **loops back** — the substrate
@@ -564,7 +512,7 @@ fn repair_job(
 /// Memo-aware end to end: repeat candidates are answered from the
 /// [`ScoreMemo`], and repair resubmissions (round > 0) re-execute only
 /// retryable failures. Output is identical to
-/// [`evaluate_repair_barriered`] for any worker count or channel bound —
+/// [`evaluate_repair_barriered`] for any worker count —
 /// repair generation is seeded by the prior attempt's content, so the
 /// schedule cannot leak into the traces.
 pub fn evaluate_repair(
@@ -619,7 +567,7 @@ pub fn evaluate_repair(
     // The last one to settle closes the task channel, draining the
     // generation pool and with it the whole graph.
     let outstanding = AtomicUsize::new(n);
-    let (job_tx, job_rx) = sync_channel::<(usize, UnitTestJob)>(options.channel_bound.max(1));
+    let (job_tx, job_rx) = sync_channel::<(usize, UnitTestJob)>(JOB_CHANNEL_BOUND);
     let hw = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(workers);
@@ -679,8 +627,9 @@ pub fn evaluate_repair(
             });
         });
         // Generation + extraction + static-scoring pool (pure CPU apart
-        // from the simulated generation, capped at the hardware width like
-        // evaluate()'s scoring stage). Initial and repair tasks take the
+        // from the simulated generation, so capped at the hardware width:
+        // threads beyond the core count only add context switches).
+        // Initial and repair tasks take the
         // same path — a repair request is just a prompt.
         for _ in 0..workers.min(hw).max(1) {
             let job_tx = job_tx.clone();
@@ -1061,7 +1010,7 @@ pub fn score_submission_doc(
     )
 }
 
-/// Streams a batch of submissions through the stage-graph: a CPU pool
+/// Streams a batch of submissions through two pools: a CPU pool
 /// runs extraction + static scoring, feeding the memo-aware substrate
 /// stage ([`run_jobs_stream`]) over a bounded channel; `emit` fires once
 /// per submission **in completion order** (the submission's index makes
@@ -1091,7 +1040,7 @@ where
     // Per-slot static results, written by the scoring pool strictly
     // before the slot's job is dispatched, read by the verdict callback.
     let statics: Vec<Mutex<Option<StaticSlot>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let (job_tx, job_rx) = sync_channel::<(usize, UnitTestJob)>(DEFAULT_CHANNEL_BOUND);
+    let (job_tx, job_rx) = sync_channel::<(usize, UnitTestJob)>(JOB_CHANNEL_BOUND);
     let next = AtomicUsize::new(0);
     let stats = Mutex::new(None);
     std::thread::scope(|scope| {
@@ -1129,7 +1078,7 @@ where
             *stats.lock().expect("stats slot poisoned") = Some(run);
         });
         // Extraction + static scoring pool (pure CPU, capped at the
-        // hardware width like evaluate()'s scoring stage). The candidate
+        // hardware width like evaluate_repair()'s pool). The candidate
         // is parsed exactly once here — the job carries the same
         // `Arc<PreparedDoc>` into the substrate stage.
         for _ in 0..workers.min(hw).max(1) {
@@ -1356,6 +1305,37 @@ mod tests {
         let streamed = evaluate(&model, &dataset, &options);
         let barriered = evaluate_barriered(&model, &dataset, &options);
         assert_eq!(streamed, barriered);
+    }
+
+    #[test]
+    fn empty_grid_yields_no_records() {
+        let dataset = Arc::new(Dataset::generate());
+        let model = SimulatedModel::new(
+            ModelProfile::by_name("gpt-4").unwrap(),
+            Arc::clone(&dataset),
+        );
+        let options = EvalOptions {
+            variants: Vec::new(),
+            workers: 4,
+            ..EvalOptions::default()
+        };
+        assert!(evaluate(&model, &dataset, &options).is_empty());
+    }
+
+    #[test]
+    fn evaluate_records_extract_and_score_service_per_record() {
+        let count = |stage| {
+            obs::global()
+                .histogram_snapshot("stage_service_us", &[("stage", stage)])
+                .map_or(0, |h| h.count)
+        };
+        let (extract_before, score_before) = (count("extract"), count("score"));
+        let records = quick_eval("gpt-4", 30);
+        // Other tests in this process evaluate concurrently, so the
+        // global series grow by at least this run's records.
+        let n = records.len() as u64;
+        assert!(count("extract") - extract_before >= n);
+        assert!(count("score") - score_before >= n);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use cedataset::Dataset;
+use cedataset::{Dataset, Variant};
 use cloudeval_core::harness::{evaluate_repair, evaluate_repair_barriered, EvalOptions};
 use llmsim::{FeedbackMode, ModelProfile, SimulatedModel};
 
@@ -13,11 +13,10 @@ fn model(name: &str, dataset: &Arc<Dataset>) -> SimulatedModel {
     SimulatedModel::new(ModelProfile::by_name(name).unwrap(), Arc::clone(dataset))
 }
 
-fn options(stride: usize, workers: usize, channel_bound: usize) -> EvalOptions {
+fn options(stride: usize, workers: usize) -> EvalOptions {
     EvalOptions {
         stride,
         workers,
-        channel_bound,
         ..EvalOptions::default()
     }
 }
@@ -26,26 +25,43 @@ fn options(stride: usize, workers: usize, channel_bound: usize) -> EvalOptions {
 fn streamed_and_barriered_repair_reports_are_identical() {
     let dataset = Arc::new(Dataset::generate());
     let gpt4 = model("gpt-4", &dataset);
-    let reference = evaluate_repair_barriered(
-        &gpt4,
-        &dataset,
-        &options(17, 4, 8),
-        2,
-        FeedbackMode::BucketOnly,
-    );
-    assert!(reference.total() > 0);
-    // Any worker count or channel bound must reproduce the reference byte
-    // for byte — the repair chain is seeded by attempt content, so the
-    // schedule cannot leak into the traces.
-    for (workers, bound) in [(1, 1), (4, 8), (16, 64)] {
-        let streamed = evaluate_repair(
-            &gpt4,
-            &dataset,
-            &options(17, workers, bound),
-            2,
-            FeedbackMode::BucketOnly,
-        );
-        assert_eq!(streamed, reference, "workers={workers} bound={bound}");
+    // Stride 17 is a small grid. Stride 2 on all three variants has 507
+    // coordinates, more than the job channel's bound of 128, so in most
+    // runs the generation pool outruns the substrate pool and blocks on a
+    // full channel.
+    let small = options(17, 4);
+    let full_channel = EvalOptions {
+        variants: Variant::ALL.to_vec(),
+        ..options(2, 4)
+    };
+    let cases: [(&EvalOptions, &[usize]); 2] = [(&small, &[1, 4, 16]), (&full_channel, &[1, 16])];
+    for (base, worker_counts) in cases {
+        let reference =
+            evaluate_repair_barriered(&gpt4, &dataset, base, 2, FeedbackMode::BucketOnly);
+        assert!(reference.total() > 0);
+        if base.stride == 2 {
+            assert!(reference.total() > 128, "{} coordinates", reference.total());
+        }
+        // Any worker count must reproduce the reference byte for byte —
+        // the repair chain is seeded by attempt content, so the schedule
+        // cannot leak into the traces.
+        for &workers in worker_counts {
+            let streamed = evaluate_repair(
+                &gpt4,
+                &dataset,
+                &EvalOptions {
+                    workers,
+                    ..base.clone()
+                },
+                2,
+                FeedbackMode::BucketOnly,
+            );
+            assert_eq!(
+                streamed, reference,
+                "stride={} workers={workers}",
+                base.stride
+            );
+        }
     }
 }
 
@@ -53,7 +69,7 @@ fn streamed_and_barriered_repair_reports_are_identical() {
 fn bucket_feedback_repairs_but_bare_retry_does_not() {
     let dataset = Arc::new(Dataset::generate());
     let gpt4 = model("gpt-4", &dataset);
-    let opts = options(7, 8, 16);
+    let opts = options(7, 8);
     let rounds = 2;
     let bucketed = evaluate_repair(&gpt4, &dataset, &opts, rounds, FeedbackMode::BucketOnly);
     let blind = evaluate_repair(&gpt4, &dataset, &opts, rounds, FeedbackMode::None);
@@ -92,7 +108,7 @@ fn every_failure_bucket_sees_repairs_under_bucket_feedback() {
     let dataset = Arc::new(Dataset::generate());
     // A mid-tier model fails often enough to populate several buckets.
     let llama = model("llama-2-70b-chat", &dataset);
-    let opts = options(3, 8, 16);
+    let opts = options(3, 8);
     let rounds = 3;
     let bucketed = evaluate_repair(&llama, &dataset, &opts, rounds, FeedbackMode::BucketOnly);
     let blind = evaluate_repair(&llama, &dataset, &opts, rounds, FeedbackMode::None);

@@ -252,8 +252,8 @@ pub struct StreamStats {
 /// and emits each `(record_index, JobResult)` the moment its verdict is
 /// known.
 ///
-/// This is the execution stage of the stage-graph pipeline: upstream
-/// generation/scoring stages feed jobs while earlier jobs are already
+/// This is the substrate stage of the streaming drivers: upstream
+/// generation/scoring pools feed jobs while earlier jobs are already
 /// running, so substrate execution overlaps every other phase instead of
 /// waiting behind a barrier.
 ///

@@ -75,8 +75,6 @@ fn cluster_reexport_runs_jobs() {
 
 #[test]
 fn streaming_reexports_compose_into_a_stage_graph() {
-    use cloudeval::core::pipeline::{Pipeline, Stage};
-
     // llm::query_stream emits incrementally...
     struct Echo;
     impl llm::LanguageModel for Echo {
@@ -87,38 +85,43 @@ fn streaming_reexports_compose_into_a_stage_graph() {
             prompt.to_owned()
         }
     }
-    let prompts: Vec<String> = (0..8).map(|i| format!("p{i}")).collect();
-    let emitted = std::sync::Mutex::new(0usize);
-    let stream = llm::query_stream(
-        &Echo,
-        &prompts,
-        &llm::GenParams::default(),
-        &llm::QueryConfig::default(),
-        |_, _| *emitted.lock().unwrap() += 1,
-    );
-    assert_eq!(stream.prompts, 8);
-    assert_eq!(*emitted.lock().unwrap(), 8);
-
-    // ...the pipeline orders the stream deterministically...
-    struct Len;
-    impl Stage for Len {
-        type In = String;
-        type Out = usize;
-        fn workers(&self) -> usize {
-            2
-        }
-        fn process(&self, _index: usize, input: String) -> usize {
-            input.len()
-        }
-    }
-    let out = Pipeline::new(Len).run(vec!["a".into(), "bb".into(), "ccc".into()]);
-    assert_eq!(out, vec![1, 2, 3]);
-
-    // ...and the streaming executor drains a disconnected channel.
+    let prompts: Vec<String> = (0..8).map(|i| format!("p{i}: 1\n")).collect();
     let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, cluster::UnitTestJob)>(1);
-    drop(tx);
-    let stats = cluster::run_jobs_stream(rx, 2, &cluster::ScoreMemo::new(), |_, _| {});
-    assert_eq!(stats.executed, 0);
+    let verdicts = std::sync::Mutex::new(vec![None; prompts.len()]);
+    let memo = cluster::ScoreMemo::new();
+    let stats = std::thread::scope(|scope| {
+        // ...the streaming executor consumes each emission as a job over
+        // one bounded channel...
+        let executor = scope.spawn(|| {
+            cluster::run_jobs_stream(rx, 2, &memo, |index, result| {
+                verdicts.lock().unwrap()[index] = Some(result.passed);
+            })
+        });
+        let stream = llm::query_stream(
+            &Echo,
+            &prompts,
+            &llm::GenParams::default(),
+            &llm::QueryConfig::default(),
+            |index, response| {
+                let job = cluster::UnitTestJob::new(
+                    format!("echo-{index}"),
+                    "echo unit_test_passed".to_owned(),
+                    response,
+                );
+                tx.send((index, job)).unwrap();
+            },
+        );
+        assert_eq!(stream.prompts, 8);
+        // ...and drains once the last sender drops.
+        drop(tx);
+        executor.join().unwrap()
+    });
+    assert_eq!(stats.executed, 8);
+    assert!(verdicts
+        .into_inner()
+        .unwrap()
+        .iter()
+        .all(|v| *v == Some(true)));
 }
 
 #[test]
